@@ -27,10 +27,10 @@ from .proofs import ProofParseError, check as check_proof, parse_proof, verify_s
 from .semantics import (
     AtomBoundExceeded,
     DEFAULT_ATOM_BOUND,
+    PointEvaluator,
     UnknownAtomError,
-    asserts,
+    check_atoms,
     countermodel,
-    denies,
     equivalent,
     is_persistent,
     persistence_witness,
@@ -56,7 +56,7 @@ def _env_bound() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"error: {ATOM_BOUND_ENV} must be an integer, got {raw!r}")
+        raise ValueError(f"{ATOM_BOUND_ENV} must be an integer, got {raw!r}") from None
 
 
 def _read_text(path: str) -> str:
@@ -165,11 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = CliConfig(
-        variant=DeniabilityVariant(args.variant),
-        atom_bound=args.atom_bound if args.atom_bound is not None else _env_bound(),
-        json=args.json,
-    )
     handler = {
         "fmt": _cmd_fmt,
         "eval": _cmd_eval,
@@ -183,6 +178,11 @@ def main(argv: list[str] | None = None) -> int:
         "check": _cmd_check,
     }[args.command]
     try:
+        cfg = CliConfig(
+            variant=DeniabilityVariant(args.variant),
+            atom_bound=args.atom_bound if args.atom_bound is not None else _env_bound(),
+            json=args.json,
+        )
         return handler(args, cfg)
     except (
         ParseError,
@@ -196,6 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 
@@ -215,12 +218,16 @@ def _cmd_fmt(args, cfg: CliConfig) -> int:
 
 def _cmd_eval(args, cfg: CliConfig) -> int:
     ctx = parse_context(_read_text(args.context))
+    # One evaluator for every formula and both passes, so denial reuses
+    # the memoised subresults of assertion.
+    ev = PointEvaluator(ctx.atoms, cfg.variant)
     results = []
     lines = []
     for text in args.formulas:
         phi = parse(text)
-        a = asserts(ctx, phi, cfg.variant)
-        d = denies(ctx, phi, cfg.variant)
+        check_atoms(ctx, phi)
+        a = ev.asserts(ctx.members, phi)
+        d = ev.denies(ctx.members, phi)
         shown = format_formula(phi)
         results.append({"formula": shown, "asserted": a, "denied": d})
         lines.append(f"{shown}: asserted={str(a).lower()} denied={str(d).lower()}")

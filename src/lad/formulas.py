@@ -36,26 +36,111 @@ class PathError(Exception):
 
 _ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
+# Frozen dataclasses assign their fields through object.__setattr__ too.
+_set = object.__setattr__
+
 
 class Formula:
-    """Base class for all formula nodes."""
+    """Base class for all formula nodes.
 
-    __slots__ = ()
+    Each node computes its structural hash once, when it is built, from
+    its type and its children's cached hashes, so hashing costs O(1)
+    and never recurses.  Equality stays structural.  str hashes are
+    salted per process, so the cached hash never travels with a node:
+    pickling and copying rebuild the node through its constructor.
+    """
+
+    __slots__ = ("_hash",)
 
     def children(self) -> tuple["Formula", ...]:
         return ()
 
+    def _fields(self) -> tuple:
+        """The constructor arguments, in order."""
+        return self.children()
 
-@dataclass(frozen=True)
+    def __post_init__(self):
+        _set(self, "_hash", hash((type(self), *self._fields())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class _Unary(Formula):
+    __slots__ = ()
+    _ext_op: str | None = None  # extensional symbol: the operand must be in L
+
+    def __init__(self, operand: Formula):
+        if self._ext_op is not None:
+            _require_l(operand, self._ext_op)
+        _set(self, "operand", operand)
+        _set(self, "_hash", hash((type(self), operand._hash)))
+
+    def children(self):
+        return (self.operand,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.operand, other.operand
+        return a is b or a == b
+
+    __hash__ = Formula.__hash__  # defining __eq__ alone would unset it
+
+
+class _Binary(Formula):
+    __slots__ = ()
+    _ext_op: str | None = None  # extensional symbol: both operands must be in L
+
+    def __init__(self, left: Formula, right: Formula):
+        if self._ext_op is not None:
+            _require_l(left, self._ext_op)
+            _require_l(right, self._ext_op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((type(self), left._hash, right._hash)))
+
+    def children(self):
+        return (self.left, self.right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Tuple comparison skips identical children without a call.
+        return (self.left, self.right) == (other.left, other.right)
+
+    __hash__ = Formula.__hash__
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Atom(Formula):
     name: str
 
     def __post_init__(self):
         if not _ATOM_RE.match(self.name):
             raise ValueError(f"invalid atom name: {self.name!r}")
+        _set(self, "_hash", hash((Atom, self.name)))
+
+    def _fields(self):
+        return (self.name,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    __hash__ = Formula.__hash__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Falsum(Formula):
     pass
 
@@ -70,89 +155,56 @@ def _require_l(operand: Formula, op: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ExtNeg(Formula):
+# The shapes above build these nodes (init=False); the dataclass adds
+# the slots, repr and frozen assignment.
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class ExtNeg(_Unary):
+    operand: Formula
+    _ext_op = "~"
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class ExtAnd(_Binary):
+    left: Formula
+    right: Formula
+    _ext_op = "/\\"
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class ExtOr(_Binary):
+    left: Formula
+    right: Formula
+    _ext_op = "\\/"
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class ExtImp(_Binary):
+    left: Formula
+    right: Formula
+    _ext_op = "=>"
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class IntNeg(_Unary):
     operand: Formula
 
-    def __post_init__(self):
-        _require_l(self.operand, "~")
 
-    def children(self):
-        return (self.operand,)
-
-
-@dataclass(frozen=True)
-class ExtAnd(Formula):
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class IntAnd(_Binary):
     left: Formula
     right: Formula
 
-    def __post_init__(self):
-        _require_l(self.left, "/\\")
-        _require_l(self.right, "/\\")
 
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class ExtOr(Formula):
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class IntOr(_Binary):
     left: Formula
     right: Formula
 
-    def __post_init__(self):
-        _require_l(self.left, "\\/")
-        _require_l(self.right, "\\/")
 
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class ExtImp(Formula):
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class IntImp(_Binary):
     left: Formula
     right: Formula
-
-    def __post_init__(self):
-        _require_l(self.left, "=>")
-        _require_l(self.right, "=>")
-
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class IntNeg(Formula):
-    operand: Formula
-
-    def children(self):
-        return (self.operand,)
-
-
-@dataclass(frozen=True)
-class IntAnd(Formula):
-    left: Formula
-    right: Formula
-
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class IntOr(Formula):
-    left: Formula
-    right: Formula
-
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class IntImp(Formula):
-    left: Formula
-    right: Formula
-
-    def children(self):
-        return (self.left, self.right)
 
 
 _L_ROOTS = (Atom, Falsum, ExtNeg, ExtAnd, ExtOr, ExtImp)

@@ -11,13 +11,17 @@ Two engines compute the same relation:
   contexts that assert it and the table that deny it, each packed
   into one big integer (bit position = context member set).  Only
   viable up to 4 atoms (a 5-atom table is 2**32 bits) but makes
-  whole-space sweeps cheap.
+  whole-space sweeps cheap.  The per-width masks its subset closure
+  uses are constants, built once per world count on first use and
+  shared by every instance.
 
-Entailment dispatches on atom count: tables up to 4 atoms, a
-screened streaming search above that (up to the caller's bound).
+Entailment dispatches on atom count: tables up to 4 atoms, above that
+(up to the caller's bound) an ascending search that streams contexts
+over the worlds whose singleton context asserts every safe premise.
 """
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 from .contexts import Context, DeniabilityVariant, World
@@ -35,7 +39,6 @@ from .formulas import (
     IntOr,
     LayerError,
     atoms_of,
-    e_translate,
     is_l_formula,
     is_safe,
 )
@@ -87,9 +90,22 @@ def _index_bit_mask(width: int, k: int) -> int:
     """
     total = 1 << width
     period = 1 << (k + 1)
-    block = ((1 << (1 << k)) - 1) << (1 << k)
-    rep = ((1 << total) - 1) // ((1 << period) - 1)
-    return block * rep
+    mask = ((1 << (1 << k)) - 1) << (1 << k)
+    while period < total:
+        mask |= mask << period
+        period <<= 1
+    return mask
+
+
+@functools.cache
+def _clear_bit_masks(n_worlds: int) -> tuple[int, ...]:
+    """For each world bit b, the context positions whose bit b is clear.
+
+    Constant per world count, so every ContextTables over that many
+    worlds shares one tuple; there are at most TABLE_ATOM_LIMIT of them.
+    """
+    universe = (1 << (1 << n_worlds)) - 1
+    return tuple(universe ^ _index_bit_mask(n_worlds, b) for b in range(n_worlds))
 
 
 class PointEvaluator:
@@ -224,10 +240,7 @@ class ContextTables:
         # is clear.
         self.universe = (1 << (1 << self.n_worlds)) - 1
         self.nonempty = self.universe & ~1
-        self._clear_bit = [
-            self.universe ^ _index_bit_mask(self.n_worlds, b)
-            for b in range(self.n_worlds)
-        ]
+        self._clear_bit = _clear_bit_masks(self.n_worlds)
         self._point = PointEvaluator(self.atoms, self.variant)
         self._tables: dict[Formula, tuple[int, int]] = {}
 
@@ -298,7 +311,8 @@ class ContextTables:
         return self.tables(phi)[1]
 
 
-def _check_atoms(context: Context, phi: Formula) -> None:
+def check_atoms(context: Context, phi: Formula) -> None:
+    """Raise UnknownAtomError naming every atom of phi the context lacks."""
     missing = atoms_of(phi) - set(context.atoms)
     if missing:
         raise UnknownAtomError(", ".join(sorted(missing)))
@@ -306,13 +320,13 @@ def _check_atoms(context: Context, phi: Formula) -> None:
 
 def asserts(context: Context, phi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER) -> bool:
     """Does the context assert phi?"""
-    _check_atoms(context, phi)
+    check_atoms(context, phi)
     return PointEvaluator(context.atoms, variant).asserts(context.members, phi)
 
 
 def denies(context: Context, phi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER) -> bool:
     """Does the context deny phi?"""
-    _check_atoms(context, phi)
+    check_atoms(context, phi)
     return PointEvaluator(context.atoms, variant).denies(context.members, phi)
 
 
@@ -359,16 +373,17 @@ def _stream_countermodel(
 ) -> Context | None:
     """Exhaustive ascending search, pruned by the safe premises.
 
-    A safe premise is persistent, so a context asserting it asserts
-    it at every singleton subcontext; by the singleton collapse that
-    confines countermodels to worlds satisfying its extensional
-    translation.  Unsafe premises contribute no pruning.
+    A safe premise is persistent under every variant, so a context
+    asserting it asserts it at each of its singleton subcontexts:
+    countermodels lie among the worlds whose singleton context asserts
+    every safe premise.  Unsafe premises contribute no pruning.
     """
     ev = PointEvaluator(atoms, variant)
-    allowed = ev.full_worlds
-    for p in premises:
-        if is_safe(p):
-            allowed &= ev.l_truth_mask(e_translate(p))
+    safe = [p for p in premises if is_safe(p)]
+    allowed = 0
+    for w in range(ev.n_worlds):
+        if all(ev.asserts(1 << w, p) for p in safe):
+            allowed |= 1 << w
     s = 0
     while True:
         s = (s - allowed) & allowed
@@ -453,8 +468,9 @@ def check_characteristic_set(contexts: Sequence[Context]) -> bool:
     member contexts (gauker variant).
     """
     pool = list(contexts)
+    phi = xi_x(pool)  # raises EmptyInputError on an empty set
     tab = ContextTables(pool[0].atoms, DeniabilityVariant.GAUKER)
     want = 0
     for c in pool:
         want |= 1 << c.members
-    return tab.assert_table(xi_x(pool)) == want
+    return tab.assert_table(phi) == want

@@ -1,10 +1,16 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import lad
 from lad.cli import main
 from lad.contexts import parse_context
 from lad.corpus import ILLEGAL_PROOF, MURDER_CONTEXT
+from lad.semantics import PointEvaluator
 
 MURDER_SEQUENT = [
     "p \\/ q",
@@ -65,6 +71,18 @@ class TestEval:
     def test_unknown_atom(self, capsys, murder_file):
         code, _, err = run(capsys, "eval", murder_file, "zz")
         assert code == 2 and "error:" in err
+
+    def test_one_evaluator_for_both_passes(self, capsys, murder_file, monkeypatch):
+        built = []
+        init = PointEvaluator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PointEvaluator, "__init__", counting_init)
+        code, _, _ = run(capsys, "eval", murder_file, "p -> (r -> t)", "!(q -> s)")
+        assert code == 0 and len(built) == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "eval", "no/such/file.ctx", "p")
@@ -218,3 +236,29 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["ok"] is False and payload["lines"] == 15
         assert [v["line"] for v in payload["violations"]] == [7, 13]
+
+
+class TestErrorContract:
+    """Bad input ends with exit 2 and one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            ({"LAD_ATOM_BOUND": "x"}, ["entail", "p", "p"]),
+            ({}, ["fmt", "!" * 3000 + "p"]),
+            ({}, ["fmt", " & ".join(["p"] * 1500)]),
+        ],
+        ids=["bad-atom-bound-env", "deep-negation", "long-conjunction"],
+    )
+    def test_exit_2_without_traceback(self, env, argv):
+        src = str(pathlib.Path(lad.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, "-m", "lad", *argv],
+            env=dict(os.environ, PYTHONPATH=src, **env),
+            capture_output=True,
+            text=True,
+        )
+        assert child.returncode == 2
+        assert "Traceback" not in child.stderr
+        lines = child.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

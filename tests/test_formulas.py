@@ -1,7 +1,15 @@
+import copy
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 
 from conftest import l_formulas, star_formulas
+import lad
 from lad.formulas import (
     Atom,
     ExtAnd,
@@ -31,8 +39,18 @@ from lad.formulas import (
     subformula_at,
     substitute,
 )
+from lad.syntax import format_formula, parse
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
+
+
+def _rebuild(phi):
+    """A fresh copy of phi sharing no node with it."""
+    if isinstance(phi, Atom):
+        return Atom(phi.name)
+    if isinstance(phi, Falsum):
+        return Falsum()
+    return type(phi)(*(_rebuild(c) for c in phi.children()))
 
 
 class TestLayering:
@@ -76,6 +94,40 @@ class TestStructure:
         assert ExtAnd(P, Q) == ExtAnd(Atom("p"), Atom("q"))
         assert len({ExtAnd(P, Q), ExtAnd(P, Q), ExtOr(P, Q)}) == 2
         assert Falsum() == FALSUM
+
+    def test_node_type_is_part_of_equality_and_hash(self):
+        assert IntAnd(P, Q) != IntOr(P, Q)
+        assert hash(IntAnd(P, Q)) != hash(IntOr(P, Q))
+        assert ExtNeg(P) != IntNeg(P)
+
+    @given(star_formulas())
+    def test_equal_formulas_hash_equally(self, phi):
+        for twin in (_rebuild(phi), parse(format_formula(phi))):
+            assert twin == phi and hash(twin) == hash(phi)
+
+    @given(star_formulas())
+    def test_pickle_and_copy_rebuild_the_node(self, phi):
+        for twin in (pickle.loads(pickle.dumps(phi)), copy.copy(phi), copy.deepcopy(phi)):
+            assert twin == phi and hash(twin) == hash(phi)
+
+    def test_unpickled_in_another_hash_seed_is_a_dict_key(self):
+        # str hashes are salted per process: a hash cached in the child
+        # would be wrong here, so unpickling must recompute it.
+        text = "<>(p (+) q) -> !(r & ~s)"
+        src = str(pathlib.Path(lad.__file__).resolve().parents[1])
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import pickle, sys; from lad import parse; "
+             f"sys.stdout.buffer.write(pickle.dumps((hash('p'), parse({text!r}))))"],
+            env=env, capture_output=True, check=True,
+        )
+        child_hash_p, phi = pickle.loads(child.stdout)
+        assert child_hash_p != hash("p")
+        fresh = parse(text)
+        assert phi == fresh and hash(phi) == hash(fresh)
+        assert {fresh: 1}[phi] == 1 and {phi: 1}[fresh] == 1
 
     def test_atoms_of(self):
         assert atoms_of(IntImp(ExtAnd(P, Q), IntNeg(R))) == {"p", "q", "r"}

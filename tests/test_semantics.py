@@ -1,10 +1,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import all_contexts, contexts_over, enumerate_l, enumerate_star, star_formulas
-from lad.contexts import Context, DeniabilityVariant, World, world_from_index
+from lad.contexts import Context, DeniabilityVariant, EmptyInputError, World, world_from_index
 from lad.formulas import (
     Atom,
     ExtAnd,
@@ -26,6 +27,8 @@ from lad.semantics import (
     ContextTables,
     PointEvaluator,
     UnknownAtomError,
+    _index_bit_mask,
+    _stream_countermodel,
     asserts,
     check_characteristic,
     check_characteristic_set,
@@ -292,6 +295,40 @@ class TestMurderScenario:
             entails([parse(t) for t in self.PREMISES], parse(self.CONCLUSION))
 
 
+@st.composite
+def sequents(draw):
+    names = ("p", "q", "r", "s")[: draw(st.integers(1, 4))]
+    fs = star_formulas(names, max_leaves=4)
+    # Premises rooted at -> are safe, so each one feeds the pruning mask.
+    premises = draw(st.lists(st.one_of(fs, st.builds(IntImp, fs, fs)), max_size=3))
+    return premises, draw(fs)
+
+
+class TestStreamSearch:
+    def test_connexive_pruning_keeps_singleton_asserted_worlds(self):
+        # The all-false world connexively denies p -> q (no subcontext
+        # asserts p), so it asserts every premise and not the conclusion.
+        premises = [parse("~p /\\ ~q"), parse("((!(p -> q)) -> s) -> r"), parse("~t")]
+        cm = countermodel(premises, parse("r \\/ s"), "connexive", atom_bound=5)
+        assert cm is not None
+        assert [w.bits() for w in cm.worlds()] == ["00000"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(sequents())
+    @example(([IntImp(ExtNeg(P), IntNeg(IntImp(P, P)))], P))
+    def test_matches_tables(self, sequent):
+        premises, conclusion = sequent
+        atoms = sequent_atoms(premises, conclusion)
+        for variant in VARIANTS:
+            want = countermodel(premises, conclusion, variant)
+            tab = ContextTables(atoms, variant)
+            safe = [tab.assert_table(p) for p in premises if is_safe(p)]
+            kept = [w for w in range(tab.n_worlds) if all(a >> (1 << w) & 1 for a in safe)]
+            if want is None and len(kept) > 10:
+                continue  # a valid sequent visits all 2**len(kept) - 1 contexts
+            assert _stream_countermodel(premises, conclusion, atoms, variant) == want
+
+
 class TestEquivalence:
     def test_commutation(self):
         assert strongly_equivalent(IntAnd(P, Q), IntAnd(Q, P))
@@ -342,6 +379,26 @@ class TestCharacteristic:
         for k in range(1, 4):
             for combo in itertools.combinations(pool, k):
                 assert check_characteristic_set(list(combo))
+
+    def test_empty_set_is_empty_input(self):
+        with pytest.raises(EmptyInputError):
+            check_characteristic_set([])
+
+
+class TestMasks:
+    def test_index_bit_mask_matches_closed_form(self):
+        for width in range(1, 17):
+            ones = (1 << (1 << width)) - 1
+            for k in range(width):
+                period = 1 << (k + 1)
+                block = ((1 << (1 << k)) - 1) << (1 << k)
+                assert _index_bit_mask(width, k) == block * (ones // ((1 << period) - 1))
+
+    def test_tables_share_the_per_width_masks(self):
+        a = ContextTables(("p", "q", "r", "s"))
+        b = ContextTables(("a", "b", "c", "d"), "connexive")
+        assert a._clear_bit is b._clear_bit
+        assert a._clear_bit is not ContextTables(("p", "q", "r"))._clear_bit
 
 
 class TestBounds:
