@@ -170,6 +170,11 @@ def parse_proof(text: str) -> ProofDoc:
     subproofs: list[Subproof] = []
     open_stack: list[Subproof] = []
     seen_body = False
+    # Proofs restate formulas (hypotheses reiterated, case branches
+    # ending in the conclusion), so each distinct text is parsed once.
+    # Equal lines then share one Formula, and check's == on them stops
+    # at the root's children, which are identical.
+    parsed: dict[str, Formula] = {}
 
     def close_down(keep: int) -> None:
         while len(open_stack) > keep:
@@ -188,10 +193,13 @@ def parse_proof(text: str) -> ProofDoc:
         if ";" not in rest:
             raise ProofParseError("missing ';' between formula and rule", source_line)
         formula_text, rule_part = rest.split(";", 1)
-        try:
-            formula = parse(formula_text)
-        except ParseError as exc:
-            raise ProofParseError(f"bad formula: {exc}", source_line) from exc
+        formula = parsed.get(formula_text)
+        if formula is None:
+            try:
+                formula = parse(formula_text)
+            except ParseError as exc:
+                raise ProofParseError(f"bad formula: {exc}", source_line) from exc
+            parsed[formula_text] = formula
         fields = rule_part.strip().split(None, 1)
         if not fields:
             raise ProofParseError("missing rule name", source_line)

@@ -9,10 +9,26 @@ the n-ary infix (+).  Precedence, tightest first:
 Binary connectives at the same level associate to the right, so
 p -> q -> r reads p -> (q -> r) and p (+) q (+) r is a single three-way
 (+).  Macros are expanded while parsing; the printer can re-sugar them.
+Atom names match [A-Za-z][A-Za-z0-9_]*.
+
+Text becomes a formula in two steps.  One compiled regular expression
+splits it into tokens: the fixed symbols, longest first, then
+identifiers, then any other non-space character as a bad one.  Token
+positions are worked out again only when an error must report one; the
+first bad character is always the error, ahead of any parse or layer
+error.  An operator-precedence loop then builds the formula with two
+stacks, pending operators and built operands, and no recursion, so
+nesting depth is limited only by memory.  It builds eagerly: an
+arriving binary operator builds every pending one that binds tighter, and
+a ")" or the end of input builds everything back to its group.  That is
+the order in which a recursive-descent parser builds, so the first
+error, and its position, are the ones it would report.  A run of
+disjunctions at one level is folded at once, right to left, so that
+adjacent (+) operands form one n-ary (+).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .formulas import (
     FALSUM,
@@ -29,7 +45,6 @@ from .formulas import (
     IntOr,
     LayerError,
     diamond,
-    is_l_formula,
     match_diamond,
     match_plus,
     plus_disj,
@@ -47,180 +62,178 @@ class ParseError(Exception):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "op" or "ident" or "eof"
-    text: str
-    pos: int
-
-
 # Longest tokens first so _|_ wins over |, (+) over ( and so on.
 _FIXED = ("_|_", "(+)", "/\\", "\\/", "->", "=>", "<>", "~", "!", "&", "|", "(", ")")
+# One alternation: the fixed tokens, then identifiers (exactly the names
+# Atom accepts), then any other non-space character, which is a bad one.
+_TOKEN = re.compile("|".join(map(re.escape, _FIXED)) + r"|[A-Za-z][A-Za-z0-9_]*|\S")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+
+# Binding levels.  "(" is 0 so that no reduction passes a group; the
+# prefixes bind tightest.
+_GROUP, _IMP, _DISJ, _CONJ, _PREFIX = 0, 1, 2, 3, 4
+_LEVEL = {
+    "(": _GROUP,
+    "->": _IMP, "=>": _IMP,
+    "\\/": _DISJ, "|": _DISJ, "(+)": _DISJ,
+    "/\\": _CONJ, "&": _CONJ,
+    "~": _PREFIX, "!": _PREFIX, "<>": _PREFIX,
+}
+_BINARY = {tok: level for tok, level in _LEVEL.items() if _IMP <= level <= _CONJ}
+_OPENERS = frozenset(("(", "~", "!", "<>"))
+_NODE = {
+    "->": IntImp, "=>": ExtImp, "\\/": ExtOr, "|": IntOr,
+    "/\\": ExtAnd, "&": IntAnd, "~": ExtNeg, "!": IntNeg,
+}
+_PRIMARY = ("atom", "_|_", "(", "~", "!", "<>")
 
 
-def tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        for tok in _FIXED:
-            if text.startswith(tok, i):
-                out.append(_Token("op", tok, i))
-                i += len(tok)
-                break
-        else:
-            if ch.isalpha():
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                out.append(_Token("ident", text[i:j], i))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("eof", "", n))
-    return out
+def _position(text: str, k: int) -> int:
+    """The position of token k of text (len(text) for the end of input).
 
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
-            return self.next()
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos, (text,))
-
-    def _ext(self, cls, op: _Token, *operands: Formula) -> Formula:
-        for f in operands:
-            if not is_l_formula(f):
-                raise LayerError(
-                    f"operand of extensional {op.text!r} is not an L-formula",
-                    position=op.pos,
-                    offending=f,
-                )
-        return cls(*operands)
-
-    def parse(self) -> Formula:
-        phi = self.imp()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-        return phi
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("->", "=>"):
-            self.next()
-            right = self.imp()  # right associative
-            if tok.text == "->":
-                return IntImp(left, right)
-            return self._ext(ExtImp, tok, left, right)
-        return left
-
-    def disj(self) -> Formula:
-        items = [self.conj()]
-        ops: list[_Token] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ("\\/", "|", "(+)"):
-                self.next()
-                ops.append(tok)
-                items.append(self.conj())
-            else:
-                break
-        # Fold right to left; consecutive (+) operands collapse into one
-        # n-ary expansion, because the expansion of a nested (+) is not
-        # an L-formula and could never feed an outer (+).
-        result = items[-1]
-        run: list[Formula] | None = None
-        run_op: _Token | None = None
-        for k in range(len(ops) - 1, -1, -1):
-            op, item = ops[k], items[k]
-            if op.text == "(+)":
-                if run is None:
-                    run = [item, result]
-                    run_op = op
-                else:
-                    run.insert(0, item)
-            else:
-                if run is not None:
-                    result = self._plus(run, run_op)
-                    run = None
-                if op.text == "\\/":
-                    result = self._ext(ExtOr, op, item, result)
-                else:
-                    result = IntOr(item, result)
-        if run is not None:
-            result = self._plus(run, run_op)
-        return result
-
-    def _plus(self, operands: list[Formula], op: _Token) -> Formula:
-        for f in operands:
-            if not is_l_formula(f):
-                raise LayerError(
-                    "operand of (+) is not an L-formula",
-                    position=op.pos,
-                    offending=f,
-                )
-        return plus_disj(operands)
-
-    def conj(self) -> Formula:
-        left = self.prefix()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("/\\", "&"):
-            self.next()
-            right = self.conj()  # right associative
-            if tok.text == "&":
-                return IntAnd(left, right)
-            return self._ext(ExtAnd, tok, left, right)
-        return left
-
-    def prefix(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("~", "!", "<>"):
-            self.next()
-            operand = self.prefix()
-            if tok.text == "~":
-                return self._ext(ExtNeg, tok, operand)
-            if tok.text == "!":
-                return IntNeg(operand)
-            return diamond(operand)
-        return self.primary()
-
-    def primary(self) -> Formula:
-        tok = self.next()
-        if tok.kind == "ident":
-            return Atom(tok.text)
-        if tok.kind == "op" and tok.text == "_|_":
-            return FALSUM
-        if tok.kind == "op" and tok.text == "(":
-            phi = self.imp()
-            self.expect(")")
-            return phi
-        raise ParseError(
-            f"unexpected {tok.text or 'end of input'!r}",
-            tok.pos,
-            ("atom", "_|_", "(", "~", "!", "<>"),
-        )
+    Called only on an error path.  The first bad character, if any, is
+    raised instead, since it outranks every parse and layer error.
+    """
+    starts = []
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok not in _FIXED and tok[0] not in _LETTERS:
+            raise ParseError(f"unexpected character {tok!r}", m.start())
+        starts.append(m.start())
+    starts.append(len(text))
+    return starts[k]
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a formula, expanding <> and (+)."""
-    return _Parser(text).parse()
+    """Parse concrete syntax into a formula, expanding <> and (+).
+
+    Raises ParseError for malformed text and LayerError for an
+    extensional connective over a non-L operand.
+    """
+    tokens = _TOKEN.findall(text)
+    end = len(tokens)
+    tokens.append("")  # the end of input
+    ops: list[int] = []  # token indices of the pending operators and groups
+    vals: list[Formula] = []
+    i = 0
+    while True:
+        # Operand position: any prefixes and open groups, then a primary.
+        tok = tokens[i]
+        while tok in _OPENERS:
+            ops.append(i)
+            i += 1
+            tok = tokens[i]
+        if tok == "_|_":
+            vals.append(FALSUM)
+        elif tok and tok[0] in _LETTERS:
+            vals.append(Atom(tok))
+        else:
+            raise ParseError(
+                f"unexpected {tok or 'end of input'!r}", _position(text, i), _PRIMARY
+            )
+        i += 1
+        # Operator position: a binary operator builds every pending one
+        # that binds tighter; anything else builds the open group, which
+        # only a ")" may then close.
+        while True:
+            tok = tokens[i]
+            level = _BINARY.get(tok)
+            if level is not None:
+                _reduce(text, tokens, ops, vals, level)
+                ops.append(i)
+                i += 1
+                break
+            _reduce(text, tokens, ops, vals, _GROUP)
+            if not ops:
+                if i < end:
+                    raise ParseError(f"trailing input {tok!r}", _position(text, i))
+                return vals[0]
+            if tok != ")":
+                raise ParseError(
+                    f"unexpected {tok or 'end of input'!r}", _position(text, i), (")",)
+                )
+            ops.pop()
+            i += 1
+
+
+def _reduce(text: str, tokens: list[str], ops: list[int], vals: list[Formula], level: int) -> None:
+    """Build the pending operators that bind tighter than level, top of
+    the stack first.  Binary operators associate to the right, so one of
+    equal level stays pending; a run of disjunctions is folded whole."""
+    while ops:
+        k = ops[-1]
+        op = tokens[k]
+        op_level = _LEVEL[op]
+        if op_level <= level:
+            return
+        if op_level == _DISJ:
+            start = len(ops) - 1
+            while start and _LEVEL[tokens[ops[start - 1]]] == _DISJ:
+                start -= 1
+            run = ops[start:]
+            del ops[start:]
+            items = vals[-len(run) - 1:]
+            del vals[-len(run) - 1:]
+            vals.append(_fold_disj(text, tokens, run, items))
+            continue
+        ops.pop()
+        if op == "<>":
+            vals.append(diamond(vals.pop()))
+            continue
+        right = vals.pop()
+        try:
+            if op_level == _PREFIX:
+                vals.append(_NODE[op](right))
+            else:
+                vals.append(_NODE[op](vals.pop(), right))
+        except LayerError as exc:
+            _layer_error(text, op, k, exc)
+
+
+def _fold_disj(text: str, tokens: list[str], run: list[int], items: list[Formula]) -> Formula:
+    """Fold a run of disjunctions right to left.  Consecutive (+)
+    operands collapse into one n-ary expansion, because the expansion
+    of a nested (+) is not an L-formula and could never feed an outer
+    (+)."""
+    result = items[-1]
+    plus: list[Formula] | None = None
+    plus_at = 0
+    for j in range(len(run) - 1, -1, -1):
+        k, item = run[j], items[j]
+        op = tokens[k]
+        if op == "(+)":
+            if plus is None:
+                plus, plus_at = [item, result], k
+            else:
+                plus.insert(0, item)
+            continue
+        if plus is not None:
+            result = _plus(text, plus_at, plus)
+            plus = None
+        try:
+            result = _NODE[op](item, result)
+        except LayerError as exc:
+            _layer_error(text, op, k, exc)
+    if plus is not None:
+        result = _plus(text, plus_at, plus)
+    return result
+
+
+def _plus(text: str, k: int, operands: list[Formula]) -> Formula:
+    try:
+        return plus_disj(operands)
+    except LayerError as exc:
+        _layer_error(text, "(+)", k, exc)
+
+
+def _layer_error(text: str, op: str, k: int, exc: LayerError):
+    """Re-raise a constructor's LayerError with the parser's message and
+    the position of the operator at token k."""
+    if op == "(+)":
+        message = "operand of (+) is not an L-formula"
+    else:
+        message = f"operand of extensional {op!r} is not an L-formula"
+    raise LayerError(message, position=_position(text, k), offending=exc.offending) from None
 
 
 _PREC_IMP, _PREC_DISJ, _PREC_CONJ, _PREC_PREFIX = 1, 2, 3, 4

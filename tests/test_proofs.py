@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -110,6 +112,25 @@ class TestParsing:
         else:
             pytest.fail("no ProofParseError")
 
+    def test_equal_lines_share_one_formula(self):
+        doc = parse_proof(
+            "p | q ; premise\n"
+            "* p ; hyp\n"
+            "* p \\/ q ; icup1 2\n"
+            "* q ; hyp\n"
+            "* p \\/ q ; icup2 4\n"
+            "p \\/ q ; eor 1, 2-3, 4-5\n"
+        )
+        assert doc.line(3).formula is doc.line(5).formula is doc.line(6).formula
+        assert doc.line(3).formula == parse("p \\/ q")
+        assert check(doc).ok
+
+    def test_repeated_bad_formula_reports_its_first_line(self):
+        with pytest.raises(ProofParseError) as info:
+            parse_proof("p ; premise\np -> ; ecap1 1\np -> ; ecap1 1\n")
+        assert info.value.source_line == 2
+        assert str(info.value).startswith("line 2: bad formula: ")
+
 
 class TestAccessibility:
     DOC = (
@@ -159,6 +180,18 @@ class TestCorpusAccepted:
         doc = parse_proof(corpus.generated_accepted()[name])
         assert check(doc).ok
         assert verify_sound(doc)
+
+
+class TestCorpusFiles:
+    def test_committed_corpus_matches_generator(self, tmp_path):
+        committed = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+        written = corpus.write_corpus(tmp_path)
+        on_disk = sorted(
+            p.relative_to(committed).as_posix() for p in committed.rglob("*") if p.is_file()
+        )
+        assert sorted(written) == on_disk
+        for rel in written:
+            assert (tmp_path / rel).read_bytes() == (committed / rel).read_bytes(), rel
 
 
 class TestCorpusRejected:

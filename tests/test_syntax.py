@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import recursive_parser
 from conftest import star_formulas
 from lad.formulas import (
     Atom,
@@ -16,6 +18,7 @@ from lad.formulas import (
     LayerError,
     diamond,
     plus_disj,
+    size,
 )
 from lad.syntax import ParseError, format_formula, parse
 
@@ -99,6 +102,18 @@ class TestParseErrors:
         with pytest.raises(LayerError):
             parse("!p (+) q")
 
+    @pytest.mark.parametrize("text, position", [("é", 0), ("pé", 1), ("p²", 1)])
+    def test_non_ascii_identifier_is_a_parse_error(self, text, position):
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse(text)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("text", ["p q $", "!p /\\ q $", "(p -> $"])
+    def test_bad_character_wins_over_later_errors(self, text):
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse(text)
+        assert info.value.position == text.index("$")
+
     def test_error_reports_position(self):
         try:
             parse("p /\\ )")
@@ -106,6 +121,82 @@ class TestParseErrors:
             assert exc.position is not None
         else:
             pytest.fail("no ParseError")
+
+
+class TestDeepInput:
+    def test_deep_prefixes(self):
+        phi = parse("!" * 3000 + "p")
+        assert size(phi) == 3001
+        for _ in range(3000):
+            assert isinstance(phi, IntNeg)
+            phi = phi.operand
+        assert phi == P
+
+    def test_long_conjunction(self):
+        phi = parse(" & ".join(["p"] * 1500))
+        assert size(phi) == 2999
+        for _ in range(1499):
+            assert isinstance(phi, IntAnd) and phi.left == P
+            phi = phi.right
+        assert phi == P
+
+
+# Every token of the language, a few identifiers, and characters that
+# make bad tokens or glue into other tokens.
+SOUP = (
+    "_|_", "(+)", "/\\", "\\/", "->", "=>", "<>", "~", "!", "&", "|", "(", ")",
+    "p", "q", "r1", "x_y", " ", "$", "1", "_",
+)
+GAP = st.sampled_from(["", "", "", "", " ", "\t", "\n"])
+SPACE = st.sampled_from(["", " ", "  ", "\t", "\r\n"])
+
+
+def outcome(parser, text):
+    """A parse result, or the error's type, message, position and offending operand."""
+    try:
+        return parser(text)
+    except (ParseError, LayerError) as exc:
+        return type(exc), str(exc), exc.position, getattr(exc, "offending", None)
+
+
+class TestAgainstRecursiveDescent:
+    """The operator-stack parser against the recursive-descent parser it
+    replaced (tests/recursive_parser.py): same formula, or same error."""
+
+    @given(st.lists(st.sampled_from(SOUP), max_size=14))
+    @settings(max_examples=1000)
+    def test_token_soup(self, tokens):
+        text = "".join(tokens)
+        assert outcome(parse, text) == outcome(recursive_parser.parse, text)
+
+    @given(star_formulas(max_leaves=8), st.sampled_from(["macro", "full"]), st.data())
+    @settings(max_examples=200)
+    def test_printed_formulas_with_random_spacing(self, phi, mode, data):
+        # Spaces change width or vanish; other whitespace may split a token.
+        text = "".join(
+            data.draw(SPACE) if ch == " " else data.draw(GAP) + ch
+            for ch in format_formula(phi, mode=mode)
+        )
+        assert outcome(parse, text) == outcome(recursive_parser.parse, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p (+) !q",
+            "p \\/ q (+) r",
+            "p (+) q \\/ r (+) s",
+            "!p (+) q (+) !r",
+            "(p (+) q) (+) r",
+            "~(p & q) /\\ !r",
+            "!p /\\ q r",
+            "(!p /\\ q",
+            "~p -> (q",
+            "p ->",
+            "",
+        ],
+    )
+    def test_error_order_and_positions(self, text):
+        assert outcome(parse, text) == outcome(recursive_parser.parse, text)
 
 
 class TestPrinting:
