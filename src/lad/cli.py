@@ -29,6 +29,7 @@ from .semantics import (
     DEFAULT_ATOM_BOUND,
     PointEvaluator,
     UnknownAtomError,
+    WorldLimitExceeded,
     check_atoms,
     countermodel,
     equivalent,
@@ -192,6 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         EmptyInputError,
         UnknownAtomError,
         AtomBoundExceeded,
+        WorldLimitExceeded,
         OSError,
         ValueError,
     ) as exc:

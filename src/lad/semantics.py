@@ -7,17 +7,28 @@ Two engines compute the same relation:
   results.  Works at any atom count; implications cost a walk over
   the subcontexts of the current context.
 
-* ContextTables computes, for every subformula, the full table of
-  contexts that assert it and the table that deny it, each packed
-  into one big integer (bit position = context member set).  Only
-  viable up to 4 atoms (a 5-atom table is 2**32 bits) but makes
-  whole-space sweeps cheap.  The per-width masks its subset closure
-  uses are constants, built once per world count on first use and
-  shared by every instance.
+* ContextTables computes, for every subformula, the table of contexts
+  that assert it and the table that deny it, each packed into one big
+  integer (bit position = context member set).  By default a table
+  spans every context over the atoms, which is viable up to 4 atoms
+  (a 5-atom table is 2**32 bits).  Given a sorted list of worlds it
+  spans only the contexts made of those worlds, with bit i of a
+  position standing for the i-th listed world; that is exact, because
+  whether a context asserts or denies a formula depends only on the
+  context and its subcontexts.  The per-width masks its subset closure
+  uses are constants, built once per world count up to 16 worlds and
+  shared by every instance; wider tables build their own.
 
-Entailment dispatches on atom count: tables up to 4 atoms, above that
-(up to the caller's bound) an ascending search that streams contexts
-over the worlds whose singleton context asserts every safe premise.
+Entailment has one search at every atom count (up to the caller's
+bound).  A safe premise persists, so a countermodel is made of kept
+worlds, those whose singleton context asserts every safe premise.
+The search builds tables over the first 4 kept worlds, then the first
+8, 12 and so on, and stops at the first width that holds a
+countermodel.  Any context holding a later kept world is numerically
+larger than every context of earlier ones, so the least countermodel
+found this way is the least one overall.  Tables stop at
+TABLE_WORLD_LIMIT worlds; past that, a search that has found nothing
+raises WorldLimitExceeded.
 """
 from __future__ import annotations
 
@@ -46,6 +57,13 @@ from .transforms import mu_c, xi_x
 
 DEFAULT_ATOM_BOUND = 4
 TABLE_ATOM_LIMIT = 4
+# The widest table the countermodel search builds: 2**24 bits (2 MB)
+# per table.
+TABLE_WORLD_LIMIT = 24
+SEARCH_WORLD_STEP = 4
+# Masks up to the whole-space width are kept for the process's life;
+# wider ones (2 MB each at 24 worlds) live only as long as their table.
+_SHARED_MASK_WORLDS = 1 << TABLE_ATOM_LIMIT
 
 
 class UnknownAtomError(Exception):
@@ -62,6 +80,20 @@ class AtomBoundExceeded(Exception):
         )
         self.n_atoms = n_atoms
         self.bound = bound
+
+
+class WorldLimitExceeded(Exception):
+    """More worlds are kept than the countermodel search tabulates, and
+    no countermodel lies among the first TABLE_WORLD_LIMIT of them; the
+    contexts holding a later kept world are not searched."""
+
+    def __init__(self, n_kept: int, searched: int):
+        super().__init__(
+            f"no countermodel among the first {searched} of {n_kept} kept worlds; "
+            f"contexts over more than {searched} worlds are past the search limit"
+        )
+        self.n_kept = n_kept
+        self.searched = searched
 
 
 def truth(world: World, alpha: Formula) -> bool:
@@ -97,15 +129,15 @@ def _index_bit_mask(width: int, k: int) -> int:
     return mask
 
 
-@functools.cache
 def _clear_bit_masks(n_worlds: int) -> tuple[int, ...]:
-    """For each world bit b, the context positions whose bit b is clear.
-
-    Constant per world count, so every ContextTables over that many
-    worlds shares one tuple; there are at most TABLE_ATOM_LIMIT of them.
-    """
+    """For each world bit b, the context positions whose bit b is clear."""
     universe = (1 << (1 << n_worlds)) - 1
     return tuple(universe ^ _index_bit_mask(n_worlds, b) for b in range(n_worlds))
+
+
+# Constant per world count, so every ContextTables over that many worlds
+# shares one tuple; only widths up to _SHARED_MASK_WORLDS are cached.
+_shared_clear_bit_masks = functools.cache(_clear_bit_masks)
 
 
 class PointEvaluator:
@@ -218,34 +250,73 @@ class PointEvaluator:
 
 
 class ContextTables:
-    """Assert/deny tables over every nonempty context on a small atom set.
+    """Assert/deny tables over the nonempty contexts on a small atom set.
 
     A table is an int whose bit at position m is set exactly when the
     context with member set m has the property.  Bit 0 (the empty set)
-    stays clear everywhere.
+    stays clear everywhere.  With ``worlds`` (strictly increasing world
+    indices, at most TABLE_WORLD_LIMIT of them) the tables cover only
+    the contexts made of those worlds, and bit i of a position stands
+    for ``worlds[i]``; ``members`` maps a position back.
     """
 
-    def __init__(self, atoms: Sequence[str], variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER):
+    def __init__(
+        self,
+        atoms: Sequence[str],
+        variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER,
+        worlds: Sequence[int] | None = None,
+    ):
         self.atoms = tuple(sorted(set(atoms)))
         if not self.atoms:
             raise ValueError("need at least one atom")
-        if len(self.atoms) > TABLE_ATOM_LIMIT:
-            raise AtomBoundExceeded(len(self.atoms), TABLE_ATOM_LIMIT)
-        self.variant = DeniabilityVariant.coerce(variant)
         self.n = len(self.atoms)
-        self.n_worlds = 1 << self.n
+        if worlds is None:
+            if self.n > TABLE_ATOM_LIMIT:
+                raise AtomBoundExceeded(self.n, TABLE_ATOM_LIMIT)
+            worlds = range(1 << self.n)
+        self.worlds = tuple(worlds)
+        if not (
+            0 < len(self.worlds) <= TABLE_WORLD_LIMIT
+            and 0 <= self.worlds[0]
+            and self.worlds[-1] < 1 << self.n
+            and all(a < b for a, b in zip(self.worlds, self.worlds[1:]))
+        ):
+            raise ValueError(
+                f"worlds must be 1 to {TABLE_WORLD_LIMIT} strictly increasing "
+                f"world indices below {1 << self.n}"
+            )
+        self.variant = DeniabilityVariant.coerce(variant)
+        self.n_worlds = len(self.worlds)
         self.full_worlds = (1 << self.n_worlds) - 1
         # Bit sets over table positions (contexts), used by the
         # subset-closure transform: position masks whose world-bit b
         # is clear.
         self.universe = (1 << (1 << self.n_worlds)) - 1
         self.nonempty = self.universe & ~1
-        self._clear_bit = _clear_bit_masks(self.n_worlds)
+        if self.n_worlds <= _SHARED_MASK_WORLDS:
+            self._clear_bit = _shared_clear_bit_masks(self.n_worlds)
+        else:
+            self._clear_bit = _clear_bit_masks(self.n_worlds)
         self._point = PointEvaluator(self.atoms, self.variant)
         self._tables: dict[Formula, tuple[int, int]] = {}
 
+    def members(self, position: int) -> int:
+        """Member bit set, over all worlds, of the context at a position."""
+        out = 0
+        for i, w in enumerate(self.worlds):
+            if position >> i & 1:
+                out |= 1 << w
+        return out
+
     def l_truth_mask(self, alpha: Formula) -> int:
-        return self._point.l_truth_mask(alpha)
+        """Bit set of table worlds, by rank, where the extensional alpha is true."""
+        full = self._point.l_truth_mask(alpha)
+        if self.n_worlds == self._point.n_worlds:
+            return full  # every world, in order: rank is the world index
+        mask = 0
+        for i, w in enumerate(self.worlds):
+            mask |= (full >> w & 1) << i
+        return mask
 
     def subsets_table(self, world_mask: int) -> int:
         """Indicator of all (possibly empty) subsets of world_mask."""
@@ -346,51 +417,34 @@ def countermodel(
     """Least context asserting every premise but not the conclusion,
     None when the sequent is valid.  Contexts range over the atoms
     mentioned in the sequent (one dummy atom when there are none).
+
+    Searches tables over the first 4, 8, 12, ... kept worlds (see the
+    module docstring); raises WorldLimitExceeded when more than
+    TABLE_WORLD_LIMIT worlds are kept and none of the searched
+    contexts is a countermodel.
     """
     variant = DeniabilityVariant.coerce(variant)
     atoms = sequent_atoms(premises, conclusion)
     n = len(atoms)
     if n > atom_bound:
         raise AtomBoundExceeded(n, atom_bound)
-    if n <= TABLE_ATOM_LIMIT:
-        tab = ContextTables(atoms, variant)
+    ev = PointEvaluator(atoms, variant)
+    safe = [p for p in premises if is_safe(p)]
+    kept = [w for w in range(ev.n_worlds) if all(ev.asserts(1 << w, p) for p in safe)]
+    if not kept:
+        return None
+    top = min(len(kept), TABLE_WORLD_LIMIT)
+    for width in (*range(SEARCH_WORLD_STEP, top, SEARCH_WORLD_STEP), top):
+        tab = ContextTables(atoms, variant, kept[:width])
         counter = tab.nonempty
         for p in premises:
             counter &= tab.assert_table(p)
         counter &= tab.universe ^ tab.assert_table(conclusion)
-        if counter == 0:
-            return None
-        members = (counter & -counter).bit_length() - 1
-        return Context(atoms, members)
-    return _stream_countermodel(premises, conclusion, atoms, variant)
-
-
-def _stream_countermodel(
-    premises: Sequence[Formula],
-    conclusion: Formula,
-    atoms: tuple[str, ...],
-    variant: DeniabilityVariant,
-) -> Context | None:
-    """Exhaustive ascending search, pruned by the safe premises.
-
-    A safe premise is persistent under every variant, so a context
-    asserting it asserts it at each of its singleton subcontexts:
-    countermodels lie among the worlds whose singleton context asserts
-    every safe premise.  Unsafe premises contribute no pruning.
-    """
-    ev = PointEvaluator(atoms, variant)
-    safe = [p for p in premises if is_safe(p)]
-    allowed = 0
-    for w in range(ev.n_worlds):
-        if all(ev.asserts(1 << w, p) for p in safe):
-            allowed |= 1 << w
-    s = 0
-    while True:
-        s = (s - allowed) & allowed
-        if s == 0:
-            return None
-        if all(ev.asserts(s, p) for p in premises) and not ev.asserts(s, conclusion):
-            return Context(atoms, s)
+        if counter:
+            return Context(atoms, tab.members((counter & -counter).bit_length() - 1))
+    if len(kept) > TABLE_WORLD_LIMIT:
+        raise WorldLimitExceeded(len(kept), TABLE_WORLD_LIMIT)
+    return None
 
 
 def entails(

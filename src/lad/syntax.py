@@ -115,6 +115,8 @@ def parse(text: str) -> Formula:
     tokens.append("")  # the end of input
     ops: list[int] = []  # token indices of the pending operators and groups
     vals: list[Formula] = []
+    # One Atom per distinct name, so each name is validated once per call.
+    atoms: dict[str, Atom] = {}
     i = 0
     while True:
         # Operand position: any prefixes and open groups, then a primary.
@@ -126,7 +128,10 @@ def parse(text: str) -> Formula:
         if tok == "_|_":
             vals.append(FALSUM)
         elif tok and tok[0] in _LETTERS:
-            vals.append(Atom(tok))
+            atom = atoms.get(tok)
+            if atom is None:
+                atom = atoms[tok] = Atom(tok)
+            vals.append(atom)
         else:
             raise ParseError(
                 f"unexpected {tok or 'end of input'!r}", _position(text, i), _PRIMARY

@@ -27,6 +27,21 @@ def murder_file(tmp_path):
     return str(path)
 
 
+SELF_IMPLICATION = "((s -> t) -> q) -> ((s -> t) -> q)"
+
+
+def run_lad(argv, env=None):
+    """Run ``python -m lad`` in a fresh process on this checkout's source."""
+    src = str(pathlib.Path(lad.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "lad", *argv],
+        env=dict(os.environ, PYTHONPATH=src, **(env or {})),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -247,18 +262,21 @@ class TestErrorContract:
             ({"LAD_ATOM_BOUND": "x"}, ["entail", "p", "p"]),
             ({}, ["fmt", "!" * 3000 + "p"]),
             ({}, ["fmt", " & ".join(["p"] * 1500)]),
+            ({}, ["entail", "--atom-bound", "5", "p \\/ q \\/ r", SELF_IMPLICATION]),
         ],
-        ids=["bad-atom-bound-env", "deep-negation", "long-conjunction"],
+        ids=["bad-atom-bound-env", "deep-negation", "long-conjunction", "past-the-world-limit"],
     )
     def test_exit_2_without_traceback(self, env, argv):
-        src = str(pathlib.Path(lad.__file__).resolve().parents[1])
-        child = subprocess.run(
-            [sys.executable, "-m", "lad", *argv],
-            env=dict(os.environ, PYTHONPATH=src, **env),
-            capture_output=True,
-            text=True,
-        )
+        child = run_lad(argv, env)
         assert child.returncode == 2
         assert "Traceback" not in child.stderr
         lines = child.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestSearchBound:
+    def test_valid_sequent_with_twenty_kept_worlds(self):
+        # p => (q /\ r) keeps 20 of the 32 worlds, and the sequent is
+        # valid, so every width up to 20 is searched.
+        child = run_lad(["entail", "--atom-bound", "5", "p => (q /\\ r)", SELF_IMPLICATION])
+        assert (child.returncode, child.stdout, child.stderr) == (0, "valid\n", "")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stream_search
 from conftest import all_contexts, contexts_over, enumerate_l, enumerate_star, star_formulas
 from lad.contexts import Context, DeniabilityVariant, EmptyInputError, World, world_from_index
 from lad.formulas import (
@@ -18,6 +19,7 @@ from lad.formulas import (
     IntNeg,
     IntOr,
     LayerError,
+    cup_chain,
     diamond,
     e_translate,
     is_safe,
@@ -26,9 +28,10 @@ from lad.semantics import (
     AtomBoundExceeded,
     ContextTables,
     PointEvaluator,
+    TABLE_WORLD_LIMIT,
     UnknownAtomError,
+    WorldLimitExceeded,
     _index_bit_mask,
-    _stream_countermodel,
     asserts,
     check_characteristic,
     check_characteristic_set,
@@ -43,7 +46,7 @@ from lad.semantics import (
     truth,
 )
 from lad.syntax import parse
-from lad.transforms import weak_negate
+from lad.transforms import sigma_w, weak_negate
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 VARIANTS = list(DeniabilityVariant)
@@ -297,14 +300,29 @@ class TestMurderScenario:
 
 @st.composite
 def sequents(draw):
-    names = ("p", "q", "r", "s")[: draw(st.integers(1, 4))]
+    names = ("p", "q", "r", "s", "t")[: draw(st.integers(1, 5))]
     fs = star_formulas(names, max_leaves=4)
     # Premises rooted at -> are safe, so each one feeds the pruning mask.
     premises = draw(st.lists(st.one_of(fs, st.builds(IntImp, fs, fs)), max_size=3))
+    if draw(st.booleans()):
+        # An extensional premise true at exactly the drawn worlds: it
+        # spans every name and leaves at most 12 kept worlds, scattered.
+        worlds = draw(st.sets(st.integers(0, (1 << len(names)) - 1), min_size=1, max_size=12))
+        premises.append(cup_chain([sigma_w(world_from_index(names, w)) for w in sorted(worlds)]))
     return premises, draw(fs)
 
 
+def kept_worlds(premises, atoms, variant):
+    """Worlds whose singleton context asserts every safe premise."""
+    ev = PointEvaluator(atoms, variant)
+    safe = [p for p in premises if is_safe(p)]
+    return [w for w in range(ev.n_worlds) if all(ev.asserts(1 << w, p) for p in safe)]
+
+
 class TestStreamSearch:
+    """The table search against the ascending one-context-at-a-time
+    search it replaced, kept in tests/stream_search.py."""
+
     def test_connexive_pruning_keeps_singleton_asserted_worlds(self):
         # The all-false world connexively denies p -> q (no subcontext
         # asserts p), so it asserts every premise and not the conclusion.
@@ -316,17 +334,76 @@ class TestStreamSearch:
     @settings(max_examples=150, deadline=None)
     @given(sequents())
     @example(([IntImp(ExtNeg(P), IntNeg(IntImp(P, P)))], P))
-    def test_matches_tables(self, sequent):
+    def test_matches_stream_oracle(self, sequent):
         premises, conclusion = sequent
         atoms = sequent_atoms(premises, conclusion)
         for variant in VARIANTS:
-            want = countermodel(premises, conclusion, variant)
-            tab = ContextTables(atoms, variant)
-            safe = [tab.assert_table(p) for p in premises if is_safe(p)]
-            kept = [w for w in range(tab.n_worlds) if all(a >> (1 << w) & 1 for a in safe)]
-            if want is None and len(kept) > 10:
-                continue  # a valid sequent visits all 2**len(kept) - 1 contexts
-            assert _stream_countermodel(premises, conclusion, atoms, variant) == want
+            # The oracle visits up to 2**len(kept) - 1 contexts, and all
+            # of them on a valid sequent.
+            kept = len(kept_worlds(premises, atoms, variant))
+            if kept > 16:
+                continue
+            want = countermodel(premises, conclusion, variant, atom_bound=5)
+            if want is None and kept > 10:
+                continue
+            assert stream_search.countermodel(premises, conclusion, atoms, variant) == want
+
+    # Twelve kept worlds over five atoms: the search's tables hold the
+    # first 4, 8 and 12 of them in turn.
+    KEPT = (1, 3, 4, 7, 10, 12, 17, 20, 21, 26, 29, 31)
+
+    @pytest.mark.parametrize("rank", [4, 5, 8, 9])
+    def test_least_countermodel_just_past_a_widening_step(self, rank):
+        atoms = ("p", "q", "r", "s", "t")
+        sigma = {w: sigma_w(world_from_index(atoms, w)) for w in self.KEPT}
+        premise = cup_chain([sigma[w] for w in self.KEPT])
+        low, high = self.KEPT[1], self.KEPT[rank]
+        # Refuted exactly by the contexts holding both low and high.
+        conclusion = IntOr(ExtNeg(sigma[low]), ExtNeg(sigma[high]))
+        want = Context(atoms, 1 << low | 1 << high)
+        for variant in VARIANTS:
+            assert countermodel([premise], conclusion, variant, atom_bound=5) == want
+            assert stream_search.countermodel([premise], conclusion, atoms, variant) == want
+
+
+@st.composite
+def world_subsets(draw):
+    atoms = ("p", "q", "r", "s")[: draw(st.integers(1, 4))]
+    worlds = draw(st.sets(st.integers(0, (1 << len(atoms)) - 1), min_size=1, max_size=8))
+    return atoms, sorted(worlds)
+
+
+class TestWorldTables:
+    @settings(max_examples=100, deadline=None)
+    @given(world_subsets(), st.data())
+    def test_match_the_whole_space_tables(self, space, data):
+        atoms, worlds = space
+        phi = data.draw(star_formulas(atoms, max_leaves=5))
+        for variant in VARIANTS:
+            whole = ContextTables(atoms, variant)
+            part = ContextTables(atoms, variant, worlds)
+            a, d = part.tables(phi)
+            wa, wd = whole.tables(phi)
+            for position in range(1, 1 << len(worlds)):
+                m = part.members(position)
+                assert (a >> position & 1, d >> position & 1) == (wa >> m & 1, wd >> m & 1)
+
+    @pytest.mark.parametrize(
+        "worlds",
+        [[], [2, 1], [1, 1], [-1, 0], [0, 4], list(range(TABLE_WORLD_LIMIT + 1))],
+        ids=["empty", "unsorted", "duplicate", "negative", "past-the-atoms", "too-many"],
+    )
+    def test_rejects_bad_world_lists(self, worlds):
+        atoms = tuple(f"a{i}" for i in range(5)) if len(worlds) > 16 else ("p", "q")
+        with pytest.raises(ValueError):
+            ContextTables(atoms, worlds=worlds)
+
+    def test_wide_masks_are_not_shared(self):
+        atoms = ("p", "q", "r", "s", "t")
+        a = ContextTables(atoms, worlds=range(17))
+        b = ContextTables(atoms, worlds=range(17))
+        assert a._clear_bit == b._clear_bit and a._clear_bit is not b._clear_bit
+        assert ContextTables(atoms, worlds=range(16))._clear_bit is ContextTables(atoms[:4])._clear_bit
 
 
 class TestEquivalence:
@@ -410,6 +487,12 @@ class TestBounds:
         five = parse("a & b & c & d & e")
         with pytest.raises(AtomBoundExceeded):
             equivalent(five, five)
+
+    def test_search_stops_at_the_world_limit(self):
+        # p \/ q \/ r keeps 28 of the 32 worlds, and the sequent is valid.
+        with pytest.raises(WorldLimitExceeded) as info:
+            entails([parse("p \\/ q \\/ r")], parse("((s -> t) -> q) -> ((s -> t) -> q)"), atom_bound=5)
+        assert (info.value.n_kept, info.value.searched) == (28, TABLE_WORLD_LIMIT)
 
     def test_asserts_checks_atoms(self):
         with pytest.raises(UnknownAtomError):

@@ -71,6 +71,20 @@ class TestParsing:
             [ExtAnd(ExtNeg(P), Q), ExtAnd(P, ExtNeg(Q))]
         )
 
+    def test_one_atom_object_per_name(self):
+        phi = parse("p & (q -> p) | ~p /\\ q")
+        seen = {}
+        stack = [phi]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Atom):
+                assert seen.setdefault(node.name, node) is node
+            else:
+                stack.extend(node.children())
+        assert sorted(seen) == ["p", "q"]
+        with pytest.raises(ValueError):
+            Atom("1x")
+
     def test_mixed_layers(self):
         assert parse("!(p => q) -> ~p") == IntImp(IntNeg(ExtImp(P, Q)), ExtNeg(P))
 
