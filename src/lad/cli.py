@@ -26,13 +26,13 @@ from .formulas import Formula, LayerError
 from .proofs import ProofParseError, check as check_proof, parse_proof, verify_sound
 from .semantics import (
     AtomBoundExceeded,
+    ContextTooWide,
     DEFAULT_ATOM_BOUND,
-    PointEvaluator,
     UnknownAtomError,
     WorldLimitExceeded,
-    check_atoms,
     countermodel,
     equivalent,
+    evaluate,
     is_persistent,
     persistence_witness,
     strongly_equivalent,
@@ -194,6 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         UnknownAtomError,
         AtomBoundExceeded,
         WorldLimitExceeded,
+        ContextTooWide,
         OSError,
         ValueError,
     ) as exc:
@@ -220,16 +221,11 @@ def _cmd_fmt(args, cfg: CliConfig) -> int:
 
 def _cmd_eval(args, cfg: CliConfig) -> int:
     ctx = parse_context(_read_text(args.context))
-    # One evaluator for every formula and both passes, so denial reuses
-    # the memoised subresults of assertion.
-    ev = PointEvaluator(ctx.atoms, cfg.variant)
     results = []
     lines = []
     for text in args.formulas:
         phi = parse(text)
-        check_atoms(ctx, phi)
-        a = ev.asserts(ctx.members, phi)
-        d = ev.denies(ctx.members, phi)
+        a, d = evaluate(ctx, phi, cfg.variant)
         shown = format_formula(phi)
         results.append({"formula": shown, "asserted": a, "denied": d})
         lines.append(f"{shown}: asserted={str(a).lower()} denied={str(d).lower()}")

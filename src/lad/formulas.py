@@ -383,45 +383,34 @@ def plus_disj(operands: Sequence[Formula]) -> Formula:
     return IntAnd(cup_chain(ops), and_chain([diamond(a) for a in ops]))
 
 
-def match_plus(phi: Formula) -> tuple[Formula, ...] | None:
-    """Recognise an expanded (+) with n >= 2, returning its operands."""
-    if not isinstance(phi, IntAnd):
+def match_diamond_chain(phi: Formula) -> list[Formula] | None:
+    """[a1, ..., an] when phi = <>a1 & ... & <>an (right chained,
+    every ai extensional), None otherwise.
+    """
+    alphas: list[Formula] = []
+    node = phi
+    while isinstance(node, IntAnd):
+        head = match_diamond(node.left)
+        if head is None or not is_l_formula(head):
+            return None
+        alphas.append(head)
+        node = node.right
+    last = match_diamond(node)
+    if last is None or not is_l_formula(last):
         return None
-    union, dias = phi.left, phi.right
-    # Try each chain length; the diamond chain pins n uniquely.
-    n = 2
-    while True:
-        ops: list[Formula] = []
-        node = union
-        ok = True
-        for _ in range(n - 1):
-            if isinstance(node, ExtOr):
-                ops.append(node.left)
-                node = node.right
-            else:
-                ok = False
-                break
-        if not ok:
-            return None
-        ops.append(node)
-        rest = dias
-        matched = True
-        for i in range(n):
-            if i < n - 1:
-                if not isinstance(rest, IntAnd):
-                    matched = False
-                    break
-                head, rest_next = rest.left, rest.right
-            else:
-                head, rest_next = rest, None
-            inner = match_diamond(head)
-            if inner is None or inner != ops[i]:
-                matched = False
-                break
-            rest = rest_next
-        if matched:
-            return tuple(ops)
-        n += 1
-        # No point growing past what the union chain can supply.
-        if n > size(union):
-            return None
+    alphas.append(last)
+    return alphas
+
+
+def match_plus(phi: Formula) -> tuple[Formula, ...] | None:
+    """Recognise an expanded (+) with n >= 2, returning its operands.
+
+    The diamond chain fixes the operands, and the union must be their
+    \\/ chain.
+    """
+    if not (isinstance(phi, IntAnd) and isinstance(phi.left, ExtOr)):
+        return None
+    ops = match_diamond_chain(phi.right)
+    if ops is None or len(ops) < 2 or phi.left != cup_chain(ops):
+        return None
+    return tuple(ops)

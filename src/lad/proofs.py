@@ -40,6 +40,7 @@ from .formulas import (
     is_l_formula,
     is_safe,
     match_diamond,
+    match_diamond_chain,
     plus_disj,
 )
 from .syntax import ParseError, parse
@@ -567,7 +568,7 @@ def _check_schema(doc: ProofDoc, line: ProofLine, resolved: list) -> Violation |
             return None
         return _mismatch(line, "conclusion is not of the shape (phi -> _|_) | <>phi")
     if rule == "diaplus":
-        alphas = _diamond_chain(fs[0])
+        alphas = match_diamond_chain(fs[0])
         if alphas is None:
             return Violation(
                 line.number, MACRO_SHAPE, "cited line is not a & chain of <> over extensional formulas"
@@ -578,25 +579,6 @@ def _check_schema(doc: ProofDoc, line: ProofLine, resolved: list) -> Violation |
             line.number, MACRO_SHAPE, "conclusion is not <> of the (+) of the cited possibilities"
         )
     raise AssertionError(f"unhandled rule {rule}")
-
-
-def _diamond_chain(phi: Formula) -> list[Formula] | None:
-    """[a1, ..., an] when phi = <>a1 & ... & <>an (right chained,
-    every ai extensional), None otherwise.
-    """
-    alphas: list[Formula] = []
-    node = phi
-    while isinstance(node, IntAnd):
-        head = match_diamond(node.left)
-        if head is None or not is_l_formula(head):
-            return None
-        alphas.append(head)
-        node = node.right
-    last = match_diamond(node)
-    if last is None or not is_l_formula(last):
-        return None
-    alphas.append(last)
-    return alphas
 
 
 def verify_sound(

@@ -1,39 +1,41 @@
 """Bilateral evaluation, entailment and countermodel search.
 
-Two engines compute the same relation:
+One engine settles every judgment.  ContextTables computes, for every
+subformula, the table of contexts that assert it and the table that
+deny it, each packed into one big integer (bit position = context
+member set).  By default a table spans every context over the atoms,
+which is viable up to 4 atoms (a 5-atom table is 2**32 bits).  Given a
+sorted list of worlds it spans only the contexts made of those worlds,
+with bit i of a position standing for the i-th listed world; that is
+exact, because whether a context asserts or denies a formula depends
+only on the context and its subcontexts.  The per-width masks its
+subset closure uses are constants, built once per world count up to 16
+worlds and shared by every instance; wider tables build their own.
+Extensional formulas are settled by their truth masks over the table's
+worlds (_truth_mask, which truth() runs over one world).
 
-* PointEvaluator settles assertibility or deniability of one formula
-  at one context, memoising intermediate (context, subformula)
-  results.  Works at any atom count; implications cost a walk over
-  the subcontexts of the current context.
-
-* ContextTables computes, for every subformula, the table of contexts
-  that assert it and the table that deny it, each packed into one big
-  integer (bit position = context member set).  By default a table
-  spans every context over the atoms, which is viable up to 4 atoms
-  (a 5-atom table is 2**32 bits).  Given a sorted list of worlds it
-  spans only the contexts made of those worlds, with bit i of a
-  position standing for the i-th listed world; that is exact, because
-  whether a context asserts or denies a formula depends only on the
-  context and its subcontexts.  The per-width masks its subset closure
-  uses are constants, built once per world count up to 16 worlds and
-  shared by every instance; wider tables build their own.
+One context is evaluated with tables over its own worlds, keeping one
+world of each class of worlds that agree on every maximal extensional
+subformula of the formula.  Worlds of one class are interchangeable in
+every clause, so this is exact, and a context of any width evaluates
+when it has at most TABLE_WORLD_LIMIT classes (else ContextTooWide).
 
 Entailment has one search at every atom count (up to the caller's
 bound).  A safe premise persists, so a countermodel is made of kept
 worlds, those whose singleton context asserts every safe premise.
-The search builds tables over the first 4 kept worlds, then the first
-8, 12 and so on, and stops at the first width that holds a
-countermodel.  Any context holding a later kept world is numerically
-larger than every context of earlier ones, so the least countermodel
-found this way is the least one overall.  Tables stop at
-TABLE_WORLD_LIMIT worlds; past that, a search that has found nothing
-raises WorldLimitExceeded.
+They come from the same clauses run over the singleton contexts of all
+worlds at once (_SingletonTables).  The search builds tables over the
+first 4 kept worlds, then the first 8, 12 and so on, and stops at the
+first width that holds a countermodel.  Any context holding a later
+kept world is numerically larger than every context of earlier ones,
+so the least countermodel found this way is the least one overall.
+Tables stop at TABLE_WORLD_LIMIT worlds; past that, a search that has
+found nothing raises WorldLimitExceeded.
 """
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .contexts import Context, DeniabilityVariant, World
 from .formulas import (
@@ -96,24 +98,59 @@ class WorldLimitExceeded(Exception):
         self.searched = searched
 
 
-def truth(world: World, alpha: Formula) -> bool:
-    """Classical truth of an extensional formula at a world."""
+class ContextTooWide(Exception):
+    """A context's worlds fall into more classes than point evaluation
+    tabulates (TABLE_WORLD_LIMIT)."""
+
+    def __init__(self, n_classes: int, limit: int):
+        super().__init__(
+            f"the context's worlds fall into {n_classes} classes under the formula's "
+            f"extensional parts; evaluation tabulates at most {limit}"
+        )
+        self.n_classes = n_classes
+        self.limit = limit
+
+
+def _truth_mask(alpha: Formula, atom_masks: Mapping[str, int], full: int) -> int:
+    """Bit set of the worlds where the extensional alpha is true, given
+    each atom's bit set and the set of all the worlds."""
     if isinstance(alpha, Atom):
         try:
-            return world.value(alpha.name)
+            return atom_masks[alpha.name]
         except KeyError:
             raise UnknownAtomError(alpha.name) from None
     if isinstance(alpha, Falsum):
-        return False
+        return 0
     if isinstance(alpha, ExtNeg):
-        return not truth(world, alpha.operand)
-    if isinstance(alpha, ExtAnd):
-        return truth(world, alpha.left) and truth(world, alpha.right)
-    if isinstance(alpha, ExtOr):
-        return truth(world, alpha.left) or truth(world, alpha.right)
-    if isinstance(alpha, ExtImp):
-        return (not truth(world, alpha.left)) or truth(world, alpha.right)
+        return full ^ _truth_mask(alpha.operand, atom_masks, full)
+    if isinstance(alpha, (ExtAnd, ExtOr, ExtImp)):
+        left = _truth_mask(alpha.left, atom_masks, full)
+        right = _truth_mask(alpha.right, atom_masks, full)
+        if isinstance(alpha, ExtAnd):
+            return left & right
+        if isinstance(alpha, ExtOr):
+            return left | right
+        return (full ^ left) | right
     raise LayerError("truth at a world is defined for extensional formulas only")
+
+
+def _atom_masks(atoms: Sequence[str], worlds: Sequence[int]) -> dict[str, int]:
+    """Each atom's truth mask over the listed world indices: bit i for worlds[i]."""
+    n = len(atoms)
+    masks = {}
+    for j, name in enumerate(atoms):
+        shift = n - 1 - j
+        mask = 0
+        for i, w in enumerate(worlds):
+            mask |= (w >> shift & 1) << i
+        masks[name] = mask
+    return masks
+
+
+def truth(world: World, alpha: Formula) -> bool:
+    """Classical truth of an extensional formula at a world."""
+    masks = {name: 1 if value else 0 for name, value in zip(world.atoms, world.values)}
+    return _truth_mask(alpha, masks, 1) == 1
 
 
 def _index_bit_mask(width: int, k: int) -> int:
@@ -138,115 +175,6 @@ def _clear_bit_masks(n_worlds: int) -> tuple[int, ...]:
 # Constant per world count, so every ContextTables over that many worlds
 # shares one tuple; only widths up to _SHARED_MASK_WORLDS are cached.
 _shared_clear_bit_masks = functools.cache(_clear_bit_masks)
-
-
-class PointEvaluator:
-    """Memoised assert/deny evaluation over one sorted atom tuple.
-
-    Contexts are passed as member bit sets (as in Context.members).
-    The memo persists for the evaluator's lifetime, so reuse one
-    instance when probing many contexts over the same atoms.
-    """
-
-    def __init__(self, atoms: Sequence[str], variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER):
-        self.atoms = tuple(sorted(set(atoms)))
-        if not self.atoms:
-            raise ValueError("need at least one atom")
-        self.variant = DeniabilityVariant.coerce(variant)
-        self.n = len(self.atoms)
-        self.n_worlds = 1 << self.n
-        self.full_worlds = (1 << self.n_worlds) - 1
-        self._atom_masks = {
-            name: _index_bit_mask(self.n, self.n - 1 - j)
-            for j, name in enumerate(self.atoms)
-        }
-        self._lmask: dict[Formula, int] = {}
-        self._memo: dict[tuple[int, Formula, bool], bool] = {}
-
-    def l_truth_mask(self, alpha: Formula) -> int:
-        """Bit set of world indices where the extensional alpha is true."""
-        cached = self._lmask.get(alpha)
-        if cached is not None:
-            return cached
-        if isinstance(alpha, Atom):
-            try:
-                mask = self._atom_masks[alpha.name]
-            except KeyError:
-                raise UnknownAtomError(alpha.name) from None
-        elif isinstance(alpha, Falsum):
-            mask = 0
-        elif isinstance(alpha, ExtNeg):
-            mask = self.full_worlds ^ self.l_truth_mask(alpha.operand)
-        elif isinstance(alpha, ExtAnd):
-            mask = self.l_truth_mask(alpha.left) & self.l_truth_mask(alpha.right)
-        elif isinstance(alpha, ExtOr):
-            mask = self.l_truth_mask(alpha.left) | self.l_truth_mask(alpha.right)
-        elif isinstance(alpha, ExtImp):
-            mask = (self.full_worlds ^ self.l_truth_mask(alpha.left)) | self.l_truth_mask(alpha.right)
-        else:
-            raise LayerError("truth masks are defined for extensional formulas only")
-        self._lmask[alpha] = mask
-        return mask
-
-    def asserts(self, members: int, phi: Formula) -> bool:
-        if not 0 < members <= self.full_worlds:
-            raise ValueError("context member set out of range or empty")
-        return self._eval(members, phi, True)
-
-    def denies(self, members: int, phi: Formula) -> bool:
-        if not 0 < members <= self.full_worlds:
-            raise ValueError("context member set out of range or empty")
-        return self._eval(members, phi, False)
-
-    def _eval(self, members: int, phi: Formula, positive: bool) -> bool:
-        key = (members, phi, positive)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._clause(members, phi, positive)
-        self._memo[key] = result
-        return result
-
-    def _clause(self, members: int, phi: Formula, positive: bool) -> bool:
-        if is_l_formula(phi):
-            t = self.l_truth_mask(phi)
-            if positive:
-                return members & ~t == 0
-            return members & t == 0
-        if isinstance(phi, IntNeg):
-            return self._eval(members, phi.operand, not positive)
-        if isinstance(phi, IntAnd):
-            if positive:
-                return self._eval(members, phi.left, True) and self._eval(members, phi.right, True)
-            return self._eval(members, phi.left, False) or self._eval(members, phi.right, False)
-        if isinstance(phi, IntOr):
-            if positive:
-                return self._eval(members, phi.left, True) or self._eval(members, phi.right, True)
-            return self._eval(members, phi.left, False) and self._eval(members, phi.right, False)
-        if isinstance(phi, IntImp):
-            if positive:
-                d = members
-                while d:
-                    if self._eval(d, phi.left, True) and not self._eval(d, phi.right, True):
-                        return False
-                    d = (d - 1) & members
-                return True
-            if self.variant is DeniabilityVariant.NELSON:
-                return self._eval(members, phi.left, True) and self._eval(members, phi.right, False)
-            if self.variant is DeniabilityVariant.CONNEXIVE:
-                d = members
-                while d:
-                    if self._eval(d, phi.left, True) and not self._eval(d, phi.right, False):
-                        return False
-                    d = (d - 1) & members
-                return True
-            d = members
-            while d:
-                if self._eval(d, phi.left, True) and self._eval(d, phi.right, False):
-                    return True
-                d = (d - 1) & members
-            return False
-        raise TypeError(f"not a formula: {phi!r}")
 
 
 class ContextTables:
@@ -297,7 +225,7 @@ class ContextTables:
             self._clear_bit = _shared_clear_bit_masks(self.n_worlds)
         else:
             self._clear_bit = _clear_bit_masks(self.n_worlds)
-        self._point = PointEvaluator(self.atoms, self.variant)
+        self._atom_masks = _atom_masks(self.atoms, self.worlds)
         self._tables: dict[Formula, tuple[int, int]] = {}
 
     def members(self, position: int) -> int:
@@ -310,13 +238,7 @@ class ContextTables:
 
     def l_truth_mask(self, alpha: Formula) -> int:
         """Bit set of table worlds, by rank, where the extensional alpha is true."""
-        full = self._point.l_truth_mask(alpha)
-        if self.n_worlds == self._point.n_worlds:
-            return full  # every world, in order: rank is the world index
-        mask = 0
-        for i, w in enumerate(self.worlds):
-            mask |= (full >> w & 1) << i
-        return mask
+        return _truth_mask(alpha, self._atom_masks, self.full_worlds)
 
     def subsets_table(self, world_mask: int) -> int:
         """Indicator of all (possibly empty) subsets of world_mask."""
@@ -327,6 +249,11 @@ class ContextTables:
             table |= table << (1 << (low.bit_length() - 1))
             rest ^= low
         return table
+
+    def _leaf(self, t: int) -> tuple[int, int]:
+        """(assert table, deny table) of an extensional formula true at
+        the table worlds t: every nonempty subset of t, and of the rest."""
+        return self.subsets_table(t) & ~1, self.subsets_table(self.full_worlds ^ t) & ~1
 
     def has_subset(self, table: int) -> int:
         """Close a table upward: set bit m when some s <= m is set."""
@@ -345,10 +272,7 @@ class ContextTables:
 
     def _build(self, phi: Formula) -> tuple[int, int]:
         if is_l_formula(phi):
-            t = self.l_truth_mask(phi)
-            a = self.subsets_table(t) & ~1
-            d = self.subsets_table(self.full_worlds ^ t) & ~1
-            return a, d
+            return self._leaf(self.l_truth_mask(phi))
         if isinstance(phi, IntNeg):
             a, d = self.tables(phi.operand)
             return d, a
@@ -382,23 +306,80 @@ class ContextTables:
         return self.tables(phi)[1]
 
 
-def check_atoms(context: Context, phi: Formula) -> None:
-    """Raise UnknownAtomError naming every atom of phi the context lacks."""
+class _SingletonTables(ContextTables):
+    """The same clauses at the singleton context of every world over the
+    atoms at once: bit w stands for the context {w}.  A singleton's one
+    nonempty subcontext is itself, so the subset closure is the identity
+    and an extensional formula is asserted where it is true and denied
+    where it is false.
+    """
+
+    def __init__(self, atoms: tuple[str, ...], variant: DeniabilityVariant):
+        # Positions here are worlds, not contexts, so none of
+        # ContextTables' set-up (world list, closure masks) applies.
+        self.atoms = atoms
+        self.variant = variant
+        self.worlds = range(1 << len(atoms))
+        self.full_worlds = self.universe = self.nonempty = (1 << len(self.worlds)) - 1
+        self._atom_masks = _atom_masks(atoms, self.worlds)
+        self._tables = {}
+
+    def _leaf(self, t: int) -> tuple[int, int]:
+        return t, self.full_worlds ^ t
+
+    def has_subset(self, table: int) -> int:
+        return table
+
+
+def evaluate(
+    context: Context, phi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER
+) -> tuple[bool, bool]:
+    """(asserted, denied): does the context assert phi, and deny it?
+
+    Reads the tables over one world of each class of the context's
+    worlds that agree on every maximal extensional subformula of phi
+    (see the module docstring); raises ContextTooWide past
+    TABLE_WORLD_LIMIT classes.
+    """
     missing = atoms_of(phi) - set(context.atoms)
     if missing:
         raise UnknownAtomError(", ".join(sorted(missing)))
+    worlds = []
+    rest = context.members
+    while rest:
+        low = rest & -rest
+        worlds.append(low.bit_length() - 1)
+        rest ^= low
+    full = (1 << len(worlds)) - 1
+    masks = _atom_masks(context.atoms, worlds)
+    leaves = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if is_l_formula(node):
+            leaves.add(node)
+        else:
+            stack.extend(node.children())
+    classes = [full]
+    for leaf in leaves:
+        t = _truth_mask(leaf, masks, full)
+        classes = [part for c in classes for part in (c & t, c & ~t) if part]
+    if len(classes) > TABLE_WORLD_LIMIT:
+        raise ContextTooWide(len(classes), TABLE_WORLD_LIMIT)
+    reps = sorted(worlds[(c & -c).bit_length() - 1] for c in classes)
+    tab = ContextTables(context.atoms, variant, reps)
+    a, d = tab.tables(phi)
+    return bool(a >> tab.full_worlds & 1), bool(d >> tab.full_worlds & 1)
 
 
 def asserts(context: Context, phi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER) -> bool:
     """Does the context assert phi?"""
-    check_atoms(context, phi)
-    return PointEvaluator(context.atoms, variant).asserts(context.members, phi)
+    return evaluate(context, phi, variant)[0]
 
 
 def denies(context: Context, phi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER) -> bool:
     """Does the context deny phi?"""
-    check_atoms(context, phi)
-    return PointEvaluator(context.atoms, variant).denies(context.members, phi)
+    return evaluate(context, phi, variant)[1]
 
 
 def sequent_atoms(premises: Iterable[Formula], conclusion: Formula) -> tuple[str, ...]:
@@ -406,6 +387,18 @@ def sequent_atoms(premises: Iterable[Formula], conclusion: Formula) -> tuple[str
     for p in premises:
         names |= atoms_of(p)
     return tuple(sorted(names)) if names else ("p",)
+
+
+def _kept_worlds(
+    premises: Sequence[Formula], atoms: tuple[str, ...], variant: DeniabilityVariant
+) -> list[int]:
+    """Worlds whose singleton context asserts every safe premise."""
+    single = _SingletonTables(atoms, variant)
+    kept = single.nonempty
+    for p in premises:
+        if is_safe(p):
+            kept &= single.assert_table(p)
+    return [w for w in single.worlds if kept >> w & 1]
 
 
 def countermodel(
@@ -428,9 +421,7 @@ def countermodel(
     n = len(atoms)
     if n > atom_bound:
         raise AtomBoundExceeded(n, atom_bound)
-    ev = PointEvaluator(atoms, variant)
-    safe = [p for p in premises if is_safe(p)]
-    kept = [w for w in range(ev.n_worlds) if all(ev.asserts(1 << w, p) for p in safe)]
+    kept = _kept_worlds(premises, atoms, variant)
     if not kept:
         return None
     top = min(len(kept), TABLE_WORLD_LIMIT)

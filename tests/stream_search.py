@@ -3,9 +3,10 @@ kept as a test oracle: ``countermodel`` here and
 ``lad.semantics.countermodel`` must return the same least countermodel,
 or both None.  Not for use outside the tests.
 
-It tests one context at a time through ``PointEvaluator``, in
-ascending member order over the kept worlds, so a valid sequent with
-k kept worlds costs 2**k - 1 context evaluations.
+It tests one context at a time through ``PointEvaluator`` (itself an
+oracle, in tests/point_evaluator.py), in ascending member order over
+the kept worlds, so a valid sequent with k kept worlds costs 2**k - 1
+context evaluations.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Sequence
 
 from lad.contexts import Context, DeniabilityVariant
 from lad.formulas import Formula, is_safe
-from lad.semantics import PointEvaluator
+from point_evaluator import PointEvaluator
 
 
 def countermodel(

@@ -10,7 +10,7 @@ import lad
 from lad.cli import main
 from lad.contexts import parse_context
 from lad.corpus import ILLEGAL_PROOF, MURDER_CONTEXT
-from lad.semantics import PointEvaluator
+from lad.semantics import ContextTables
 
 MURDER_SEQUENT = [
     "p \\/ q",
@@ -30,12 +30,17 @@ def murder_file(tmp_path):
 SELF_IMPLICATION = "((s -> t) -> q) -> ((s -> t) -> q)"
 
 
-def run_lad(argv, env=None):
+# Every world over five atoms, as a context file.
+FULL_FIVE_ATOM_CONTEXT = "p q r s t\n" + "".join(f"{w:05b}\n" for w in range(32))
+
+
+def run_lad(argv, env=None, stdin=""):
     """Run ``python -m lad`` in a fresh process on this checkout's source."""
     src = str(pathlib.Path(lad.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "lad", *argv],
         env=dict(os.environ, PYTHONPATH=src, **(env or {})),
+        input=stdin,
         capture_output=True,
         text=True,
         timeout=120,
@@ -88,16 +93,18 @@ class TestEval:
         assert code == 2 and "error:" in err
 
     def test_one_evaluator_for_both_passes(self, capsys, murder_file, monkeypatch):
+        # Each formula is evaluated once: one table over the context's
+        # worlds answers both the assert and the deny pass.
         built = []
-        init = PointEvaluator.__init__
+        init = ContextTables.__init__
 
         def counting_init(self, *args, **kwargs):
             built.append(self)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(PointEvaluator, "__init__", counting_init)
+        monkeypatch.setattr(ContextTables, "__init__", counting_init)
         code, _, _ = run(capsys, "eval", murder_file, "p -> (r -> t)", "!(q -> s)")
-        assert code == 0 and len(built) == 1
+        assert code == 0 and len(built) == 2
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "eval", "no/such/file.ctx", "p")
@@ -263,11 +270,18 @@ class TestErrorContract:
             ({}, ["fmt", "!" * 3000 + "p"]),
             ({}, ["fmt", " & ".join(["p"] * 1500)]),
             ({}, ["entail", "--atom-bound", "5", "p \\/ q \\/ r", SELF_IMPLICATION]),
+            ({}, ["eval", "-", "(p & q & r) -> (s & t)"]),
         ],
-        ids=["bad-atom-bound-env", "deep-negation", "long-conjunction", "past-the-world-limit"],
+        ids=[
+            "bad-atom-bound-env",
+            "deep-negation",
+            "long-conjunction",
+            "past-the-world-limit",
+            "too-many-world-classes",
+        ],
     )
     def test_exit_2_without_traceback(self, env, argv):
-        child = run_lad(argv, env)
+        child = run_lad(argv, env, stdin=FULL_FIVE_ATOM_CONTEXT)
         assert child.returncode == 2
         assert "Traceback" not in child.stderr
         lines = child.stderr.splitlines()
@@ -280,3 +294,14 @@ class TestSearchBound:
         # valid, so every width up to 20 is searched.
         child = run_lad(["entail", "--atom-bound", "5", "p => (q /\\ r)", SELF_IMPLICATION])
         assert (child.returncode, child.stdout, child.stderr) == (0, "valid\n", "")
+
+
+class TestWideContexts:
+    def test_eval_on_every_world_over_five_atoms(self):
+        # 32 worlds, but each formula splits them into at most 4 classes.
+        child = run_lad(["eval", "-", "p -> p", "(p /\\ q) -> (r \\/ s \\/ t)"], stdin=FULL_FIVE_ATOM_CONTEXT)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout.splitlines() == [
+            "p -> p: asserted=true denied=false",
+            "p /\\ q -> r \\/ s \\/ t: asserted=false denied=true",
+        ]

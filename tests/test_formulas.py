@@ -7,6 +7,7 @@ import sys
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import l_formulas, star_formulas
 import lad
@@ -237,6 +238,48 @@ class TestMacros:
         assert match_plus(IntAnd(P, Q)) is None
         # singleton expansion is not an n-ary pattern
         assert match_plus(plus_disj([P])) is None
+
+    @given(st.lists(l_formulas(), min_size=2, max_size=6))
+    def test_match_plus_inverts_plus_disj(self, ops):
+        assert match_plus(plus_disj(ops)) == tuple(ops)
+
+    def test_match_plus_splits_by_the_diamonds(self):
+        # Both expansions share the union p \/ (q \/ r); the diamonds decide.
+        assert match_plus(plus_disj([P, ExtOr(Q, R)])) == (P, ExtOr(Q, R))
+        assert match_plus(plus_disj([P, Q, R])) == (P, Q, R)
+        assert match_plus(plus_disj([ExtOr(P, Q), R])) == (ExtOr(P, Q), R)
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            IntAnd(ExtOr(P, Q), diamond(P)),
+            IntAnd(ExtOr(P, Q), IntAnd(diamond(P), IntAnd(diamond(Q), diamond(R)))),
+            IntAnd(ExtOr(P, ExtOr(Q, R)), IntAnd(diamond(P), diamond(Q))),
+            IntAnd(ExtOr(P, Q), IntAnd(diamond(Q), diamond(P))),
+            IntAnd(ExtAnd(P, Q), IntAnd(diamond(P), diamond(Q))),
+            IntAnd(IntOr(P, Q), IntAnd(diamond(P), diamond(Q))),
+            IntAnd(ExtOr(P, Q), IntOr(diamond(P), diamond(Q))),
+            IntAnd(ExtOr(P, Q), IntAnd(diamond(P), IntNeg(IntImp(Q, P)))),
+            IntAnd(ExtOr(P, Q), IntAnd(diamond(P), diamond(IntNeg(Q)))),
+            IntAnd(diamond(P), diamond(Q)),
+            plus_disj([ExtOr(P, Q)]),
+        ],
+        ids=[
+            "one-diamond-short",
+            "one-diamond-too-many",
+            "union-too-long",
+            "diamonds-swapped",
+            "cap-for-cup",
+            "int-or-for-cup",
+            "int-or-joins-diamonds",
+            "last-not-a-diamond",
+            "diamond-over-intensional",
+            "no-union",
+            "singleton-over-a-cup",
+        ],
+    )
+    def test_match_plus_near_misses(self, phi):
+        assert match_plus(phi) is None
 
     def test_chains(self):
         assert cap_chain([P]) == P

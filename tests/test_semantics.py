@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stream_search
+from point_evaluator import PointEvaluator
 from conftest import all_contexts, contexts_over, enumerate_l, enumerate_star, star_formulas
 from lad.contexts import Context, DeniabilityVariant, EmptyInputError, World, world_from_index
 from lad.formulas import (
@@ -27,11 +28,13 @@ from lad.formulas import (
 from lad.semantics import (
     AtomBoundExceeded,
     ContextTables,
-    PointEvaluator,
+    ContextTooWide,
     TABLE_WORLD_LIMIT,
     UnknownAtomError,
     WorldLimitExceeded,
+    _SingletonTables,
     _index_bit_mask,
+    _kept_worlds,
     asserts,
     check_characteristic,
     check_characteristic_set,
@@ -39,6 +42,7 @@ from lad.semantics import (
     denies,
     entails,
     equivalent,
+    evaluate,
     is_persistent,
     persistence_witness,
     sequent_atoms,
@@ -317,6 +321,68 @@ def kept_worlds(premises, atoms, variant):
     ev = PointEvaluator(atoms, variant)
     safe = [p for p in premises if is_safe(p)]
     return [w for w in range(ev.n_worlds) if all(ev.asserts(1 << w, p) for p in safe)]
+
+
+@st.composite
+def point_queries(draw):
+    """A context of 1-12 worlds over 1-6 atoms, and a formula over some
+    of those atoms, possibly leaving atoms out."""
+    atoms = ("p", "q", "r", "s", "t", "u")[: draw(st.integers(1, 6))]
+    used = draw(st.lists(st.sampled_from(atoms), min_size=1, unique=True))
+    phi = draw(star_formulas(tuple(sorted(used)), max_leaves=4))
+    worlds = draw(st.sets(st.integers(0, (1 << len(atoms)) - 1), min_size=1, max_size=12))
+    return Context(atoms, sum(1 << w for w in worlds)), phi
+
+
+class TestPointEvaluation:
+    """asserts/denies, through tables over classes of the context's
+    worlds, against the one-context oracle in tests/point_evaluator.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_queries())
+    @example((Context(("p", "q", "r"), 0b10110110), IntImp(P, IntNeg(IntImp(Q, P)))))
+    def test_matches_the_oracle(self, query):
+        ctx, phi = query
+        for variant in VARIANTS:
+            ev = PointEvaluator(ctx.atoms, variant)
+            want = (ev.asserts(ctx.members, phi), ev.denies(ctx.members, phi))
+            assert evaluate(ctx, phi, variant) == want
+            assert (asserts(ctx, phi, variant), denies(ctx, phi, variant)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(sequents())
+    def test_kept_worlds_match_the_oracle_singletons(self, sequent):
+        premises, conclusion = sequent
+        atoms = sequent_atoms(premises, conclusion)
+        for variant in VARIANTS:
+            assert _kept_worlds(premises, atoms, variant) == kept_worlds(premises, atoms, variant)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_singleton_tables_match_the_oracle(self, n, data):
+        atoms = ("p", "q", "r", "s", "t")[:n]
+        phi = data.draw(star_formulas(atoms, max_leaves=5))
+        for variant in VARIANTS:
+            a, d = _SingletonTables(atoms, variant).tables(phi)
+            ev = PointEvaluator(atoms, variant)
+            for w in range(1 << n):
+                assert (a >> w & 1, d >> w & 1) == (ev.asserts(1 << w, phi), ev.denies(1 << w, phi))
+
+    @settings(max_examples=50, deadline=None)
+    @given(star_formulas(("p", "q"), max_leaves=5))
+    def test_wide_context_with_few_classes(self, phi):
+        # 32 worlds over five atoms, but phi sees only p and q: four
+        # classes, answered as at the full context over p and q.
+        wide = Context.full(("p", "q", "r", "s", "t"))
+        for variant in VARIANTS:
+            a, d = ContextTables(("p", "q"), variant).tables(phi)
+            assert evaluate(wide, phi, variant) == (bool(a >> 15 & 1), bool(d >> 15 & 1))
+
+    def test_too_many_classes(self):
+        wide = Context.full(("p", "q", "r", "s", "t"))
+        with pytest.raises(ContextTooWide) as info:
+            evaluate(wide, parse("(p & q & r) -> (s & t)"))
+        assert (info.value.n_classes, info.value.limit) == (32, TABLE_WORLD_LIMIT)
 
 
 class TestStreamSearch:
