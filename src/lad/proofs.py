@@ -18,6 +18,10 @@ or its formula is safe (safe formulas survive strengthening of the
 supposition, unsafe ones may not).  Square subproofs impose no such
 restriction.  Each checked line reports at most one violation; scope
 problems win over unsafe imports, which win over rule-schema problems.
+
+``SCHEMAS`` is the rule table: each rule's cited lines, subproofs and
+conclusion as patterns over metavariables, matched by ``_match``.
+Only the n-ary ``diaplus`` has its own check.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from dataclasses import dataclass, field
 
 from .contexts import DeniabilityVariant
 from .formulas import (
+    Atom,
     ExtAnd,
     ExtImp,
     ExtNeg,
@@ -39,9 +44,10 @@ from .formulas import (
     diamond,
     is_l_formula,
     is_safe,
-    match_diamond,
     match_diamond_chain,
     plus_disj,
+    _Binary,
+    _Unary,
 )
 from .syntax import ParseError, parse
 
@@ -57,22 +63,66 @@ UNSAFE_CITATION = "UNSAFE_CITATION"
 CITATION_SCOPE = "CITATION_SCOPE"
 MACRO_SHAPE = "MACRO_SHAPE"
 
-# rule name -> (line citations, subproof citations); spans trail lines.
-RULE_ARITY = {
-    "icap": (2, 0), "ecap1": (1, 0), "ecap2": (1, 0),
-    "icup1": (1, 0), "icup2": (1, 0), "ecup": (1, 2),
-    "isup": (0, 1), "esup": (2, 0),
-    "isim": (0, 1), "esim1": (2, 0), "esim2": (1, 0),
-    "iand": (2, 0), "eand1": (1, 0), "eand2": (1, 0),
-    "ior1": (1, 0), "ior2": (1, 0), "eor": (1, 2),
-    "iimp": (0, 1), "eimp": (2, 0),
-    "ineg": (0, 1), "eneg": (2, 0), "efq": (1, 0),
-    "nn1": (1, 0), "nn2": (1, 0),
-    "nand1": (1, 0), "nand2": (1, 0),
-    "nor1": (1, 0), "nor2": (1, 0),
-    "nimp1": (1, 0), "nimp2": (1, 0),
-    "cem": (0, 0), "diaplus": (1, 0),
+# The rule table: rule name -> (cited-line patterns, subproof
+# (hypothesis, conclusion) patterns, conclusion pattern, RULE_MISMATCH
+# detail).  Atoms are metavariables (see _match), named as in the
+# README's table: a, b, c for extensional formulas, x, y, z for any.
+a, b, c, x, y, z = map(Atom, "abcxyz")
+SCHEMAS = {
+    "icap": ((a, b), (), ExtAnd(a, b), "conclusion is not the /\\ of the cited lines"),
+    "ecap1": ((ExtAnd(a, b),), (), a, "cited line is not a /\\ with this left part"),
+    "ecap2": ((ExtAnd(a, b),), (), b, "cited line is not a /\\ with this right part"),
+    "icup1": ((a,), (), ExtOr(a, b), "conclusion is not a \\/ with the cited line on the left"),
+    "icup2": ((b,), (), ExtOr(a, b), "conclusion is not a \\/ with the cited line on the right"),
+    "ecup": ((ExtOr(a, b),), ((a, c), (b, c)), c,
+             "subproofs do not run from the disjuncts to the conclusion"),
+    "isup": ((), ((a, b),), ExtImp(a, b), "conclusion is not hypothesis => subproof conclusion"),
+    "esup": ((ExtImp(a, b), a), (), b, "cited lines do not form a => detachment"),
+    "isim": ((), ((a, FALSUM),), ExtNeg(a), "subproof must run from the negated formula to _|_"),
+    "esim1": ((a, ExtNeg(a)), (), FALSUM, "cited lines are not a formula and its ~ negation"),
+    "esim2": ((ExtNeg(ExtNeg(a)),), (), a, "cited line is not the double ~ of the conclusion"),
+    "iand": ((x, y), (), IntAnd(x, y), "conclusion is not the & of the cited lines"),
+    "eand1": ((IntAnd(x, y),), (), x, "cited line is not a & with this left part"),
+    "eand2": ((IntAnd(x, y),), (), y, "cited line is not a & with this right part"),
+    "ior1": ((x,), (), IntOr(x, y), "conclusion is not a | with the cited line on the left"),
+    "ior2": ((y,), (), IntOr(x, y), "conclusion is not a | with the cited line on the right"),
+    "eor": ((IntOr(x, y),), ((x, z), (y, z)), z,
+            "subproofs do not run from the disjuncts to the conclusion"),
+    "iimp": ((), ((x, y),), IntImp(x, y), "conclusion is not hypothesis -> subproof conclusion"),
+    "eimp": ((IntImp(x, y), x), (), y, "cited lines do not form a -> detachment"),
+    "ineg": ((), ((a, FALSUM),), IntNeg(a), "subproof must run from the negated formula to _|_"),
+    "eneg": ((x, IntNeg(x)), (), FALSUM, "cited lines are not a formula and its ! negation"),
+    "efq": ((FALSUM,), (), x, "cited line is not _|_"),
+    "nn1": ((IntNeg(IntNeg(x)),), (), x, "cited line is not the double ! of the conclusion"),
+    "nn2": ((x,), (), IntNeg(IntNeg(x)), "conclusion is not the double ! of the cited line"),
+    "nand1": ((IntNeg(IntAnd(x, y)),), (), IntOr(IntNeg(x), IntNeg(y)),
+              "lines are not a !(... & ...) and its | of negations"),
+    "nand2": ((IntOr(IntNeg(x), IntNeg(y)),), (), IntNeg(IntAnd(x, y)),
+              "lines are not a | of negations and its !(... & ...)"),
+    "nor1": ((IntNeg(IntOr(x, y)),), (), IntAnd(IntNeg(x), IntNeg(y)),
+             "lines are not a !(... | ...) and its & of negations"),
+    "nor2": ((IntAnd(IntNeg(x), IntNeg(y)),), (), IntNeg(IntOr(x, y)),
+             "lines are not a & of negations and its !(... | ...)"),
+    "nimp1": ((IntNeg(IntImp(x, y)),), (), diamond(IntAnd(x, IntNeg(y))),
+              "lines are not a !(... -> ...) and its <> unfolding"),
+    "nimp2": ((diamond(IntAnd(x, IntNeg(y))),), (), IntNeg(IntImp(x, y)),
+              "lines are not a <> unfolding and its !(... -> ...)"),
+    "cem": ((), (), IntOr(IntImp(x, FALSUM), diamond(x)),
+            "conclusion is not of the shape (phi -> _|_) | <>phi"),
 }
+del a, b, c, x, y, z
+
+# A disjunction elimination whose cited line is no disjunction says so.
+_NOT_A_DISJUNCTION = {
+    "ecup": "cited line is not a \\/ disjunction",
+    "eor": "cited line is not a | disjunction",
+}
+
+# rule name -> (line citations, subproof citations); spans trail lines.
+# diaplus is n-ary, so it has no schema and keeps its own check.
+RULE_ARITY = {
+    rule: (len(cited), len(spans)) for rule, (cited, spans, _, _) in SCHEMAS.items()
+} | {"diaplus": (1, 0)}
 RULES = frozenset(RULE_ARITY) | {"premise", "hyp"}
 
 
@@ -344,18 +394,25 @@ def _check_line(doc: ProofDoc, line: ProofLine) -> Violation | None:
     return _check_schema(doc, line, resolved)
 
 
+def _match(pattern: Formula, phi: Formula, env: dict[str, Formula]) -> bool:
+    """Does phi have the shape of pattern?  Each ``Atom`` of the pattern
+    is a metavariable: its first occurrence binds it in env to the
+    subformula there, and every later one must be == to that binding.
+    """
+    if pattern.__class__ is Atom:
+        bound = env.setdefault(pattern.name, phi)
+        return bound is phi or bound == phi
+    if pattern.__class__ is not phi.__class__:
+        return False
+    # Children by name, not through children(): this runs for every
+    # pattern node of every checked line.
+    if isinstance(pattern, _Binary):
+        return _match(pattern.left, phi.left, env) and _match(pattern.right, phi.right, env)
+    return not isinstance(pattern, _Unary) or _match(pattern.operand, phi.operand, env)
+
+
 def _mismatch(line: ProofLine, why: str) -> Violation:
     return Violation(line.number, RULE_MISMATCH, why)
-
-
-def _sub_formulas(doc: ProofDoc, sub: Subproof) -> tuple[Formula, Formula] | None:
-    """(hypothesis, conclusion) of a subproof, None when the subproof
-    never returns to its own depth for a conclusion.
-    """
-    last = doc.line(sub.end)
-    if last.depth != sub.depth:
-        return None
-    return doc.line(sub.hyp).formula, last.formula
 
 
 def _check_schema(doc: ProofDoc, line: ProofLine, resolved: list) -> Violation | None:
@@ -380,193 +437,15 @@ def _check_schema(doc: ProofDoc, line: ProofLine, resolved: list) -> Violation |
                 WRONG_SUBPROOF_KIND,
                 f"{rule} needs a {need_kind} subproof, {sub.start}-{sub.end} is {sub.kind}",
             )
-    pairs = []
+    pairs = []  # (hypothesis, conclusion) of each subproof
     for sub in subs:
-        hc = _sub_formulas(doc, sub)
-        if hc is None:
+        last = doc.line(sub.end)
+        if last.depth != sub.depth:
             return _mismatch(
                 line, f"subproof {sub.start}-{sub.end} has no conclusion at its own depth"
             )
-        pairs.append(hc)
+        pairs.append((doc.line(sub.hyp).formula, last.formula))
 
-    if rule == "icap":
-        if isinstance(x, ExtAnd) and x.left == fs[0] and x.right == fs[1]:
-            return None
-        return _mismatch(line, "conclusion is not the /\\ of the cited lines")
-    if rule == "ecap1":
-        if isinstance(fs[0], ExtAnd) and x == fs[0].left:
-            return None
-        return _mismatch(line, "cited line is not a /\\ with this left part")
-    if rule == "ecap2":
-        if isinstance(fs[0], ExtAnd) and x == fs[0].right:
-            return None
-        return _mismatch(line, "cited line is not a /\\ with this right part")
-    if rule == "icup1":
-        if isinstance(x, ExtOr) and x.left == fs[0]:
-            return None
-        return _mismatch(line, "conclusion is not a \\/ with the cited line on the left")
-    if rule == "icup2":
-        if isinstance(x, ExtOr) and x.right == fs[0]:
-            return None
-        return _mismatch(line, "conclusion is not a \\/ with the cited line on the right")
-    if rule == "ecup":
-        d = fs[0]
-        if not isinstance(d, ExtOr):
-            return _mismatch(line, "cited line is not a \\/ disjunction")
-        if not is_l_formula(x):
-            return Violation(line.number, NOT_L_FORMULA, "ecup concludes extensional formulas only")
-        (h1, c1), (h2, c2) = pairs
-        if h1 == d.left and h2 == d.right and c1 == x and c2 == x:
-            return None
-        return _mismatch(line, "subproofs do not run from the disjuncts to the conclusion")
-    if rule == "isup":
-        h, c = pairs[0]
-        if isinstance(x, ExtImp) and x.left == h and x.right == c:
-            return None
-        return _mismatch(line, "conclusion is not hypothesis => subproof conclusion")
-    if rule == "esup":
-        if isinstance(fs[0], ExtImp) and fs[1] == fs[0].left and x == fs[0].right:
-            return None
-        return _mismatch(line, "cited lines do not form a => detachment")
-    if rule == "isim":
-        h, c = pairs[0]
-        if c == FALSUM and isinstance(x, ExtNeg) and x.operand == h:
-            return None
-        return _mismatch(line, "subproof must run from the negated formula to _|_")
-    if rule == "esim1":
-        if isinstance(fs[1], ExtNeg) and fs[1].operand == fs[0] and x == FALSUM:
-            return None
-        return _mismatch(line, "cited lines are not a formula and its ~ negation")
-    if rule == "esim2":
-        f = fs[0]
-        if (
-            isinstance(f, ExtNeg)
-            and isinstance(f.operand, ExtNeg)
-            and x == f.operand.operand
-        ):
-            return None
-        return _mismatch(line, "cited line is not the double ~ of the conclusion")
-    if rule == "iand":
-        if isinstance(x, IntAnd) and x.left == fs[0] and x.right == fs[1]:
-            return None
-        return _mismatch(line, "conclusion is not the & of the cited lines")
-    if rule == "eand1":
-        if isinstance(fs[0], IntAnd) and x == fs[0].left:
-            return None
-        return _mismatch(line, "cited line is not a & with this left part")
-    if rule == "eand2":
-        if isinstance(fs[0], IntAnd) and x == fs[0].right:
-            return None
-        return _mismatch(line, "cited line is not a & with this right part")
-    if rule == "ior1":
-        if isinstance(x, IntOr) and x.left == fs[0]:
-            return None
-        return _mismatch(line, "conclusion is not a | with the cited line on the left")
-    if rule == "ior2":
-        if isinstance(x, IntOr) and x.right == fs[0]:
-            return None
-        return _mismatch(line, "conclusion is not a | with the cited line on the right")
-    if rule == "eor":
-        d = fs[0]
-        if not isinstance(d, IntOr):
-            return _mismatch(line, "cited line is not a | disjunction")
-        (h1, c1), (h2, c2) = pairs
-        if h1 == d.left and h2 == d.right and c1 == x and c2 == x:
-            return None
-        return _mismatch(line, "subproofs do not run from the disjuncts to the conclusion")
-    if rule == "iimp":
-        h, c = pairs[0]
-        if isinstance(x, IntImp) and x.left == h and x.right == c:
-            return None
-        return _mismatch(line, "conclusion is not hypothesis -> subproof conclusion")
-    if rule == "eimp":
-        if isinstance(fs[0], IntImp) and fs[1] == fs[0].left and x == fs[0].right:
-            return None
-        return _mismatch(line, "cited lines do not form a -> detachment")
-    if rule == "ineg":
-        h, c = pairs[0]
-        if not is_l_formula(h):
-            return Violation(
-                line.number, NOT_L_FORMULA, "ineg supposes extensional formulas only"
-            )
-        if c == FALSUM and isinstance(x, IntNeg) and x.operand == h:
-            return None
-        return _mismatch(line, "subproof must run from the negated formula to _|_")
-    if rule == "eneg":
-        if isinstance(fs[1], IntNeg) and fs[1].operand == fs[0] and x == FALSUM:
-            return None
-        return _mismatch(line, "cited lines are not a formula and its ! negation")
-    if rule == "efq":
-        if fs[0] == FALSUM:
-            return None
-        return _mismatch(line, "cited line is not _|_")
-    if rule == "nn1":
-        f = fs[0]
-        if isinstance(f, IntNeg) and isinstance(f.operand, IntNeg) and x == f.operand.operand:
-            return None
-        return _mismatch(line, "cited line is not the double ! of the conclusion")
-    if rule == "nn2":
-        if isinstance(x, IntNeg) and isinstance(x.operand, IntNeg) and x.operand.operand == fs[0]:
-            return None
-        return _mismatch(line, "conclusion is not the double ! of the cited line")
-    if rule == "nand1":
-        f = fs[0]
-        if isinstance(f, IntNeg) and isinstance(f.operand, IntAnd):
-            want = IntOr(IntNeg(f.operand.left), IntNeg(f.operand.right))
-            if x == want:
-                return None
-        return _mismatch(line, "lines are not a !(... & ...) and its | of negations")
-    if rule == "nand2":
-        if (
-            isinstance(fs[0], IntOr)
-            and isinstance(fs[0].left, IntNeg)
-            and isinstance(fs[0].right, IntNeg)
-            and x == IntNeg(IntAnd(fs[0].left.operand, fs[0].right.operand))
-        ):
-            return None
-        return _mismatch(line, "lines are not a | of negations and its !(... & ...)")
-    if rule == "nor1":
-        f = fs[0]
-        if isinstance(f, IntNeg) and isinstance(f.operand, IntOr):
-            want = IntAnd(IntNeg(f.operand.left), IntNeg(f.operand.right))
-            if x == want:
-                return None
-        return _mismatch(line, "lines are not a !(... | ...) and its & of negations")
-    if rule == "nor2":
-        if (
-            isinstance(fs[0], IntAnd)
-            and isinstance(fs[0].left, IntNeg)
-            and isinstance(fs[0].right, IntNeg)
-            and x == IntNeg(IntOr(fs[0].left.operand, fs[0].right.operand))
-        ):
-            return None
-        return _mismatch(line, "lines are not a & of negations and its !(... | ...)")
-    if rule == "nimp1":
-        f = fs[0]
-        if isinstance(f, IntNeg) and isinstance(f.operand, IntImp):
-            want = diamond(IntAnd(f.operand.left, IntNeg(f.operand.right)))
-            if x == want:
-                return None
-        return _mismatch(line, "lines are not a !(... -> ...) and its <> unfolding")
-    if rule == "nimp2":
-        inner = match_diamond(fs[0])
-        if (
-            inner is not None
-            and isinstance(inner, IntAnd)
-            and isinstance(inner.right, IntNeg)
-            and x == IntNeg(IntImp(inner.left, inner.right.operand))
-        ):
-            return None
-        return _mismatch(line, "lines are not a <> unfolding and its !(... -> ...)")
-    if rule == "cem":
-        if (
-            isinstance(x, IntOr)
-            and isinstance(x.left, IntImp)
-            and x.left.right == FALSUM
-            and x.right == diamond(x.left.left)
-        ):
-            return None
-        return _mismatch(line, "conclusion is not of the shape (phi -> _|_) | <>phi")
     if rule == "diaplus":
         alphas = match_diamond_chain(fs[0])
         if alphas is None:
@@ -578,7 +457,23 @@ def _check_schema(doc: ProofDoc, line: ProofLine, resolved: list) -> Violation |
         return Violation(
             line.number, MACRO_SHAPE, "conclusion is not <> of the (+) of the cited possibilities"
         )
-    raise AssertionError(f"unhandled rule {rule}")
+
+    cited, spans, conclusion, detail = SCHEMAS[rule]
+    env: dict[str, Formula] = {}
+    for pattern, f in zip(cited, fs):
+        if not _match(pattern, f, env):
+            return _mismatch(line, _NOT_A_DISJUNCTION.get(rule, detail))
+    # Side conditions, reported before the rest of the schema.
+    if rule == "ecup" and not is_l_formula(x):
+        return Violation(line.number, NOT_L_FORMULA, "ecup concludes extensional formulas only")
+    if rule == "ineg" and not is_l_formula(pairs[0][0]):
+        return Violation(line.number, NOT_L_FORMULA, "ineg supposes extensional formulas only")
+    for (hyp, concl), (h, c) in zip(spans, pairs):
+        if not (_match(hyp, h, env) and _match(concl, c, env)):
+            return _mismatch(line, detail)
+    if _match(conclusion, x, env):
+        return None
+    return _mismatch(line, detail)
 
 
 def verify_sound(

@@ -9,7 +9,7 @@ import pytest
 import lad
 from lad.cli import main
 from lad.contexts import parse_context
-from lad.corpus import ILLEGAL_PROOF, MURDER_CONTEXT
+from lad.corpus import ILLEGAL_PROOF, MURDER_CONTEXT, REJECTED_PROOFS
 from lad.semantics import ContextTables
 
 MURDER_SEQUENT = [
@@ -242,6 +242,15 @@ class TestCheck:
         assert out.splitlines() == [
             "line 7: UNSAFE_CITATION: line 1 brings an unsafe formula into a round subproof",
             "line 13: UNSAFE_CITATION: line 1 brings an unsafe formula into a round subproof",
+        ]
+
+    def test_rule_mismatch_detail(self, capsys, tmp_path):
+        f = tmp_path / "wrong_rule.prf"
+        f.write_text(REJECTED_PROOFS["wrong_rule.prf"][0])
+        code, out, _ = run(capsys, "check", str(f))
+        assert code == 1
+        assert out.splitlines() == [
+            "line 2: RULE_MISMATCH: cited line is not a /\\ with this left part",
         ]
 
     def test_parse_error(self, capsys, tmp_path):
