@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Materialize the bundled proof and context corpus under corpus/.
+"""Write the generated proofs (proofs/gen_*.prf) of the corpus that
+ships in src/lad/corpus/.  The hand-written proofs and the murder
+context there are edited by hand and left alone.
 
-Rewrites every file from scratch; safe to rerun.
+Rewrites every generated file from scratch; safe to rerun.
 """
 import argparse
 import pathlib
@@ -15,8 +17,8 @@ def main() -> int:
     ap.add_argument(
         "--root",
         type=pathlib.Path,
-        default=pathlib.Path(__file__).resolve().parent.parent / "corpus",
-        help="directory to write into (default: <repo>/corpus)",
+        default=pathlib.Path(__file__).resolve().parent.parent / "src" / "lad" / "corpus",
+        help="directory to write into (default: <repo>/src/lad/corpus)",
     )
     args = ap.parse_args()
     paths = write_corpus(args.root)

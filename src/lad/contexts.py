@@ -13,11 +13,10 @@ Lines starting with # are comments.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-_ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+from .formulas import ATOM_NAME
 
 
 class EmptyInputError(Exception):
@@ -175,7 +174,7 @@ def parse_context(text: str) -> Context:
             if len(set(names)) != len(names):
                 raise ContextFormatError("duplicate atom in header", lineno)
             for name in names:
-                if not _ATOM_NAME.fullmatch(name):
+                if not ATOM_NAME.fullmatch(name):
                     raise ContextFormatError(f"invalid atom name {name!r}", lineno)
             atoms = names
             continue

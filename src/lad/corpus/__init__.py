@@ -1,13 +1,15 @@
 """Proof and context corpus: a small builder, recursive generators
-for the assertibility-or-weak-negation derivations, and the static
-accepted/rejected proof files with their expected verdicts.
+for the assertibility-or-weak-negation derivations, and the
+hand-written accepted/rejected proof files (read from this package's
+proofs/ and contexts/) with their expected verdicts.
 """
 from __future__ import annotations
 
+import pathlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .formulas import (
+from ..formulas import (
     FALSUM,
     ExtNeg,
     Formula,
@@ -18,8 +20,8 @@ from .formulas import (
     diamond,
     is_l_formula,
 )
-from .syntax import format_formula
-from .transforms import weak_negate
+from ..syntax import format_formula, parse
+from ..transforms import weak_negate
 
 Cite = int | tuple[int, int]
 
@@ -377,193 +379,38 @@ def negated_clash_proof(phi: Formula) -> str:
     return b.render()
 
 
-MURDER_CONTEXT = """\
-# Interrogation scenario: who did it, with what and when.
-# p: Ann did it   q: Bob did it   r: revolver used
-# s: dagger used  t: it happened at ten
-p q r s t
-10101
-10010
-01011
-01100
-"""
+_DATA = pathlib.Path(__file__).parent
 
-EM_PROOF = """\
-# p \\/ ~p from nothing: suppose its ~ negation and refute it.
-o ~(p \\/ ~p) ; hyp
-oo p ; hyp
-oo p \\/ ~p ; icup1 2
-oo _|_ ; esim1 3, 1
-o ~p ; isim 2-4
-o p \\/ ~p ; icup2 5
-o _|_ ; esim1 6, 1
-~~(p \\/ ~p) ; isim 1-7
-p \\/ ~p ; esim2 8
-"""
+# The hand-written accepted files, in the order perfbench/freeze.py keeps.
+_ACCEPTED_NAMES = (
+    "em.prf", "ecup_small.prf", "caps.prf", "isup_min.prf",
+    "esup_chain.prf", "modus.prf", "dualities.prf", "cem_only.prf",
+    "diaplus_pair.prf", "diaplus_single.prf", "efq_chain.prf", "eor_square.prf",
+)
 
-ILLEGAL_PROOF = """\
-# Rejected on purpose: lines 7 and 13 drag the unsafe premise 1
-# into round subproofs.  Everything else is by the book.
-<>p & <>~p ; premise
-p \\/ ~p ; premise
-o p ; hyp
-oo ~p ; hyp
-oo _|_ ; esim1 3, 4
-o ~p -> _|_ ; iimp 4-5
-o <>~p ; eand2 1
-o _|_ ; eneg 6, 7
-o ~p ; hyp
-oo p ; hyp
-oo _|_ ; esim1 10, 9
-o p -> _|_ ; iimp 10-11
-o <>p ; eand1 1
-o _|_ ; eneg 12, 13
-_|_ ; ecup 2, 3-8, 9-14
-"""
-
-ACCEPTED_PROOFS: dict[str, str] = {
-    "em.prf": EM_PROOF,
-    "ecup_small.prf": """\
-p \\/ q ; premise
-o p ; hyp
-o q \\/ p ; icup2 2
-o q ; hyp
-o q \\/ p ; icup1 4
-q \\/ p ; ecup 1, 2-3, 4-5
-""",
-    "caps.prf": """\
-p /\\ q ; premise
-q ; ecap2 1
-p ; ecap1 1
-q /\\ p ; icap 2, 3
-""",
-    "isup_min.prf": """\
-o p ; hyp
-p => p ; isup 1-1
-""",
-    "esup_chain.prf": """\
-p => q ; premise
-p ; premise
-q ; esup 1, 2
-""",
-    "modus.prf": """\
-p -> q ; premise
-p ; premise
-q ; eimp 1, 2
-p & q ; iand 2, 3
-(p & q) | r ; ior1 4
-""",
-    "dualities.prf": """\
-!(p | q) ; premise
-!(p -> q) ; premise
-!(q & q) ; premise
-!p & !q ; nor1 1
-!(p | q) ; nor2 4
-<>(p & !q) ; nimp1 2
-!(p -> q) ; nimp2 6
-!q | !q ; nand1 3
-!(q & q) ; nand2 8
-!p ; eand1 4
-!!!p ; nn2 10
-!p ; nn1 11
-""",
-    "cem_only.prf": """\
-(p -> _|_) | <>p ; cem
-""",
-    "diaplus_pair.prf": """\
-<>p ; premise
-<>q ; premise
-<>p & <>q ; iand 1, 2
-<>(p (+) q) ; diaplus 3
-""",
-    "diaplus_single.prf": """\
-<>p ; premise
-<>(p & <>p) ; diaplus 1
-""",
-    "efq_chain.prf": """\
-p ; premise
-!p ; premise
-_|_ ; eneg 1, 2
-q & (q -> q) ; efq 3
-""",
-    "eor_square.prf": """\
-p | q ; premise
-* p ; hyp
-* p \\/ q ; icup1 2
-* q ; hyp
-* p \\/ q ; icup2 4
-p \\/ q ; eor 1, 2-3, 4-5
-""",
+# name -> expected violations of the rejected file, as (line, code) pairs
+_REJECTED_EXPECT: dict[str, tuple[tuple[int, str], ...]] = {
+    "illegal.prf": ((7, "UNSAFE_CITATION"), (13, "UNSAFE_CITATION")),
+    "wrong_rule.prf": ((2, "RULE_MISMATCH"),),
+    "or_on_cup.prf": ((6, "RULE_MISMATCH"),),
+    "unsafe_cite.prf": ((3, "UNSAFE_CITATION"),),
+    "round_square.prf": ((3, "WRONG_SUBPROOF_KIND"),),
+    "not_l.prf": ((4, "NOT_L_FORMULA"),),
+    "macro_plus.prf": ((4, "MACRO_SHAPE"),),
+    "scope.prf": ((3, "CITATION_SCOPE"),),
 }
 
+MURDER_CONTEXT = (_DATA / "contexts" / "murder.ctx").read_text()
+ACCEPTED_PROOFS: dict[str, str] = {
+    name: (_DATA / "proofs" / name).read_text() for name in _ACCEPTED_NAMES
+}
 # name -> (text, expected violations as (line, code) pairs)
 REJECTED_PROOFS: dict[str, tuple[str, tuple[tuple[int, str], ...]]] = {
-    "illegal.prf": (
-        ILLEGAL_PROOF,
-        ((7, "UNSAFE_CITATION"), (13, "UNSAFE_CITATION")),
-    ),
-    "wrong_rule.prf": (
-        """\
-p /\\ q ; premise
-q ; ecap1 1
-""",
-        ((2, "RULE_MISMATCH"),),
-    ),
-    "or_on_cup.prf": (
-        """\
-p | q ; premise
-o p ; hyp
-o p \\/ q ; icup1 2
-o q ; hyp
-o p \\/ q ; icup2 4
-p \\/ q ; ecup 1, 2-3, 4-5
-""",
-        ((6, "RULE_MISMATCH"),),
-    ),
-    "unsafe_cite.prf": (
-        """\
-<>p & <>~p ; premise
-o q ; hyp
-o <>p ; eand1 1
-q -> <>p ; iimp 2-3
-""",
-        ((3, "UNSAFE_CITATION"),),
-    ),
-    "round_square.prf": (
-        """\
-* p ; hyp
-* p \\/ q ; icup1 1
-p -> (p \\/ q) ; iimp 1-2
-""",
-        ((3, "WRONG_SUBPROOF_KIND"),),
-    ),
-    "not_l.prf": (
-        """\
-p ; premise
-o !p ; hyp
-o _|_ ; eneg 1, 2
-!!p ; ineg 2-3
-""",
-        ((4, "NOT_L_FORMULA"),),
-    ),
-    "macro_plus.prf": (
-        """\
-<>p ; premise
-<>q ; premise
-<>p & <>q ; iand 1, 2
-<>(p \\/ q) ; diaplus 3
-""",
-        ((4, "MACRO_SHAPE"),),
-    ),
-    "scope.prf": (
-        """\
-o p ; hyp
-p -> p ; iimp 1-1
-p \\/ q ; icup1 1
-""",
-        ((3, "CITATION_SCOPE"),),
-    ),
+    name: ((_DATA / "proofs" / name).read_text(), expect)
+    for name, expect in _REJECTED_EXPECT.items()
 }
+EM_PROOF = ACCEPTED_PROOFS["em.prf"]
+ILLEGAL_PROOF = REJECTED_PROOFS["illegal.prf"][0]
 
 
 def generated_accepted() -> dict[str, str]:
@@ -571,8 +418,6 @@ def generated_accepted() -> dict[str, str]:
     derivations, instantiated at concrete atoms, plus one mixed
     nesting.  Every file must check and verify sound.
     """
-    from .syntax import parse
-
     cases = {
         "atom": parse("p"),
         "and": parse("p & q"),
@@ -595,20 +440,13 @@ def generated_accepted() -> dict[str, str]:
 
 
 def write_corpus(root) -> list[str]:
-    """Write every corpus file under root (a pathlib.Path); returns
-    the relative paths written.
+    """Write the generated proofs as proofs/gen_*.prf under root (a
+    pathlib.Path); returns the relative paths written.
     """
-    written = []
     proofs = root / "proofs"
-    contexts = root / "contexts"
     proofs.mkdir(parents=True, exist_ok=True)
-    contexts.mkdir(parents=True, exist_ok=True)
-    for name, text in {**ACCEPTED_PROOFS, **generated_accepted()}.items():
+    written = []
+    for name, text in generated_accepted().items():
         (proofs / name).write_text(text)
         written.append(f"proofs/{name}")
-    for name, (text, _) in REJECTED_PROOFS.items():
-        (proofs / name).write_text(text)
-        written.append(f"proofs/{name}")
-    (contexts / "murder.ctx").write_text(MURDER_CONTEXT)
-    written.append("contexts/murder.ctx")
     return written

@@ -34,7 +34,9 @@ class PathError(Exception):
     """A subformula path does not exist in the target formula."""
 
 
-_ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# The identifier syntax of atom names, shared by the formula parser and
+# the context file header.
+ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 # Frozen dataclasses assign their fields through object.__setattr__ too.
 _set = object.__setattr__
@@ -125,7 +127,7 @@ class Atom(Formula):
     name: str
 
     def __post_init__(self):
-        if not _ATOM_RE.match(self.name):
+        if not ATOM_NAME.fullmatch(self.name):
             raise ValueError(f"invalid atom name: {self.name!r}")
         _set(self, "_hash", hash((Atom, self.name)))
 
@@ -245,22 +247,6 @@ def size(phi: Formula) -> int:
     return n
 
 
-def _contains_int_imp(phi: Formula) -> bool:
-    if isinstance(phi, IntImp):
-        return True
-    if is_l_formula(phi):
-        return False
-    return any(_contains_int_imp(c) for c in phi.children())
-
-
-def _neg_over_imp(phi: Formula) -> bool:
-    if is_l_formula(phi):
-        return False
-    if isinstance(phi, IntNeg):
-        return _contains_int_imp(phi.operand)
-    return any(_neg_over_imp(c) for c in phi.children())
-
-
 def is_safe(phi: Formula) -> bool:
     """Safe formulas: no intensional implication in the scope of an
     intensional negation, unless the whole formula is an implication.
@@ -271,7 +257,18 @@ def is_safe(phi: Formula) -> bool:
     """
     if isinstance(phi, IntImp):
         return True
-    return not _neg_over_imp(phi)
+    # (node, whether a ! lies above it); L-formulas hold neither ! nor ->.
+    stack = [(phi, False)]
+    while stack:
+        node, negated = stack.pop()
+        if is_l_formula(node):
+            continue
+        if isinstance(node, IntNeg):
+            negated = True
+        elif negated and isinstance(node, IntImp):
+            return False
+        stack.extend((child, negated) for child in node.children())
+    return True
 
 
 def e_translate(phi: Formula) -> Formula:

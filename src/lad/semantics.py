@@ -451,9 +451,7 @@ def entails(
 
 
 def _pair_tables(phi: Formula, psi: Formula, variant: DeniabilityVariant | str) -> ContextTables:
-    names = atoms_of(phi) | atoms_of(psi)
-    atoms = tuple(sorted(names)) if names else ("p",)
-    return ContextTables(atoms, variant)
+    return ContextTables(sequent_atoms((phi,), psi), variant)
 
 
 def equivalent(phi: Formula, psi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER) -> bool:
@@ -480,8 +478,7 @@ def persistence_witness(
     phi but D does not, or None when phi is persistent.  Checked over
     the formula's own atoms.
     """
-    names = atoms_of(phi)
-    atoms = tuple(sorted(names)) if names else ("p",)
+    atoms = sequent_atoms((), phi)
     tab = ContextTables(atoms, variant)
     a = tab.assert_table(phi)
     refuted = tab.nonempty & (tab.universe ^ a)

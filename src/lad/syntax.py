@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 
 from .formulas import (
+    ATOM_NAME,
     FALSUM,
     Atom,
     ExtAnd,
@@ -66,7 +67,7 @@ class ParseError(Exception):
 _FIXED = ("_|_", "(+)", "/\\", "\\/", "->", "=>", "<>", "~", "!", "&", "|", "(", ")")
 # One alternation: the fixed tokens, then identifiers (exactly the names
 # Atom accepts), then any other non-space character, which is a bad one.
-_TOKEN = re.compile("|".join(map(re.escape, _FIXED)) + r"|[A-Za-z][A-Za-z0-9_]*|\S")
+_TOKEN = re.compile("|".join(map(re.escape, _FIXED)) + f"|{ATOM_NAME.pattern}|\\S")
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 # Binding levels.  "(" is 0 so that no reduction passes a group; the

@@ -192,6 +192,43 @@ class TestSafety:
         assert is_safe(IntNeg(ExtAnd(P, Q)))
         assert is_safe(IntAnd(IntNeg(P), IntOr(Q, R)))
 
+    @staticmethod
+    def _under_negations(phi, depth=3000):
+        for _ in range(depth):
+            phi = IntNeg(phi)
+        return phi
+
+    def test_deep_negation_over_implication(self):
+        assert not is_safe(self._under_negations(IntImp(P, Q)))
+
+    def test_deep_negation_over_atom(self):
+        assert is_safe(self._under_negations(P))
+
+    @given(star_formulas())
+    def test_matches_recursive_definition(self, phi):
+        assert is_safe(phi) == _safe_oracle(phi)
+
+
+# The recursive definition that is_safe replaced, kept as its oracle.
+def _contains_int_imp(phi):
+    if isinstance(phi, IntImp):
+        return True
+    if is_l_formula(phi):
+        return False
+    return any(_contains_int_imp(c) for c in phi.children())
+
+
+def _neg_over_imp(phi):
+    if is_l_formula(phi):
+        return False
+    if isinstance(phi, IntNeg):
+        return _contains_int_imp(phi.operand)
+    return any(_neg_over_imp(c) for c in phi.children())
+
+
+def _safe_oracle(phi):
+    return isinstance(phi, IntImp) or not _neg_over_imp(phi)
+
 
 class TestTranslation:
     def test_connective_mapping(self):

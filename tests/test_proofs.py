@@ -202,15 +202,25 @@ class TestCorpusAccepted:
 
 
 class TestCorpusFiles:
+    SHIPPED = pathlib.Path(corpus.__file__).parent
+
     def test_committed_corpus_matches_generator(self, tmp_path):
-        committed = pathlib.Path(__file__).resolve().parent.parent / "corpus"
         written = corpus.write_corpus(tmp_path)
         on_disk = sorted(
-            p.relative_to(committed).as_posix() for p in committed.rglob("*") if p.is_file()
+            p.relative_to(self.SHIPPED).as_posix()
+            for p in (self.SHIPPED / "proofs").glob("gen_*.prf")
         )
         assert sorted(written) == on_disk
         for rel in written:
-            assert (tmp_path / rel).read_bytes() == (committed / rel).read_bytes(), rel
+            assert (tmp_path / rel).read_bytes() == (self.SHIPPED / rel).read_bytes(), rel
+
+    def test_every_shipped_proof_is_listed_once(self):
+        listed = [
+            *corpus.ACCEPTED_PROOFS, *corpus.REJECTED_PROOFS, *corpus.generated_accepted()
+        ]
+        assert len(listed) == len(set(listed))
+        shipped = sorted(p.name for p in (self.SHIPPED / "proofs").iterdir())
+        assert shipped == sorted(listed)
 
 
 class TestCorpusRejected:
