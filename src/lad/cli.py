@@ -9,10 +9,8 @@ no, 2 for errors of any kind.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .contexts import (
     Context,
@@ -24,6 +22,7 @@ from .contexts import (
 )
 from .formulas import Formula, LayerError
 from .proofs import ProofParseError, check as check_proof, parse_proof, verify_sound
+from .records import Record, _set
 from .semantics import (
     AtomBoundExceeded,
     ContextTooWide,
@@ -43,11 +42,16 @@ from .transforms import mu_c, nnf, sigma_w, weak_negate, xi_x
 ATOM_BOUND_ENV = "LAD_ATOM_BOUND"
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    variant: DeniabilityVariant
-    atom_bound: int
-    json: bool
+class CliConfig(Record):
+    __slots__ = __match_args__ = ("variant", "atom_bound", "json")
+
+    def __init__(self, variant: DeniabilityVariant, atom_bound: int, json: bool):
+        _set(self, "variant", variant)
+        _set(self, "atom_bound", atom_bound)
+        _set(self, "json", json)
+
+    def _fields(self):
+        return (self.variant, self.atom_bound, self.json)
 
 
 def _env_bound() -> int:
@@ -205,9 +209,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _print_json(payload: dict) -> None:
+    # Imported here: plain-text commands, the common case, do not need it.
+    import json
+
+    print(json.dumps(payload, indent=2))
+
+
 def _emit(cfg: CliConfig, payload: dict, text: str) -> None:
     if cfg.json:
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(text)
 
@@ -260,7 +271,7 @@ def _cmd_countermodel(args, cfg: CliConfig) -> int:
         _emit(cfg, {"found": False, "context": None}, "none")
         return 1
     if cfg.json:
-        print(json.dumps({"found": True, "context": _context_json(cm)}, indent=2))
+        _print_json({"found": True, "context": _context_json(cm)})
     else:
         sys.stdout.write(format_context(cm))
     return 0

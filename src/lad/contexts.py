@@ -13,10 +13,10 @@ Lines starting with # are comments.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 from .formulas import ATOM_NAME
+from .records import Record, _set
 
 
 class EmptyInputError(Exception):
@@ -47,26 +47,28 @@ class DeniabilityVariant(enum.Enum):
         return cls(value)
 
 
-@dataclass(frozen=True)
-class World:
+class World(Record):
     """A classical valuation over a sorted atom tuple."""
 
-    atoms: tuple[str, ...]
-    values: tuple[bool, ...]
+    __slots__ = __match_args__ = ("atoms", "values")
 
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, atoms: tuple[str, ...], values: tuple[bool, ...]):
+        if not atoms:
             raise EmptyInputError("a world needs at least one atom")
-        if len(self.atoms) != len(self.values):
+        if len(atoms) != len(values):
             raise ValueError("atom and value counts differ")
-        if list(self.atoms) != sorted(set(self.atoms)):
+        if list(atoms) != sorted(set(atoms)):
             # Normalise: sort atoms, permuting values alongside.
-            pairs = sorted(zip(self.atoms, self.values))
-            names = tuple(a for a, _ in pairs)
-            if len(set(names)) != len(names):
+            pairs = sorted(zip(atoms, values))
+            atoms = tuple(a for a, _ in pairs)
+            if len(set(atoms)) != len(atoms):
                 raise ValueError("duplicate atom in world")
-            object.__setattr__(self, "atoms", names)
-            object.__setattr__(self, "values", tuple(v for _, v in pairs))
+            values = tuple(v for _, v in pairs)
+        _set(self, "atoms", atoms)
+        _set(self, "values", values)
+
+    def _fields(self):
+        return (self.atoms, self.values)
 
     @classmethod
     def from_mapping(cls, assignment: Mapping[str, bool]) -> "World":
@@ -98,25 +100,28 @@ def world_from_index(atoms: Sequence[str], index: int) -> World:
     return World(atoms, values)
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     """A nonempty set of worlds over one sorted atom tuple.
 
     members is a bit set over world indices (bit i set means the world
     with index i belongs to the context).
     """
 
-    atoms: tuple[str, ...]
-    members: int
+    __slots__ = __match_args__ = ("atoms", "members")
 
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, atoms: tuple[str, ...], members: int):
+        if not atoms:
             raise EmptyInputError("a context needs at least one atom")
-        if list(self.atoms) != sorted(set(self.atoms)):
+        if list(atoms) != sorted(set(atoms)):
             raise ValueError("context atoms must be sorted and unique")
-        limit = 1 << (1 << len(self.atoms))
-        if not 0 < self.members < limit:
+        limit = 1 << (1 << len(atoms))
+        if not 0 < members < limit:
             raise ValueError("context members out of range or empty")
+        _set(self, "atoms", atoms)
+        _set(self, "members", members)
+
+    def _fields(self):
+        return (self.atoms, self.members)
 
     @classmethod
     def from_worlds(cls, worlds: Sequence[World]) -> "Context":

@@ -17,8 +17,9 @@ eagerly into the primitives (there are no AST nodes for them).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
+
+from .records import Record, _set
 
 
 class LayerError(Exception):
@@ -38,11 +39,8 @@ class PathError(Exception):
 # the context file header.
 ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-# Frozen dataclasses assign their fields through object.__setattr__ too.
-_set = object.__setattr__
 
-
-class Formula:
+class Formula(Record):
     """Base class for all formula nodes.
 
     Each node computes its structural hash once, when it is built, from
@@ -58,26 +56,14 @@ class Formula:
         return ()
 
     def _fields(self) -> tuple:
-        """The constructor arguments, in order."""
         return self.children()
-
-    def __post_init__(self):
-        _set(self, "_hash", hash((type(self), *self._fields())))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
 
 class _Unary(Formula):
-    __slots__ = ()
+    __slots__ = __match_args__ = ("operand",)
     _ext_op: str | None = None  # extensional symbol: the operand must be in L
 
     def __init__(self, operand: Formula):
@@ -99,7 +85,7 @@ class _Unary(Formula):
 
 
 class _Binary(Formula):
-    __slots__ = ()
+    __slots__ = __match_args__ = ("left", "right")
     _ext_op: str | None = None  # extensional symbol: both operands must be in L
 
     def __init__(self, left: Formula, right: Formula):
@@ -122,14 +108,14 @@ class _Binary(Formula):
     __hash__ = Formula.__hash__
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if not ATOM_NAME.fullmatch(self.name):
-            raise ValueError(f"invalid atom name: {self.name!r}")
-        _set(self, "_hash", hash((Atom, self.name)))
+    def __init__(self, name: str):
+        if not ATOM_NAME.fullmatch(name):
+            raise ValueError(f"invalid atom name: {name!r}")
+        _set(self, "name", name)
+        _set(self, "_hash", hash((Atom, name)))
 
     def _fields(self):
         return (self.name,)
@@ -142,9 +128,11 @@ class Atom(Formula):
     __hash__ = Formula.__hash__
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Falsum(Formula):
-    pass
+    __slots__ = ()
+
+    def __init__(self):
+        _set(self, "_hash", hash((Falsum,)))
 
 
 FALSUM = Falsum()
@@ -157,56 +145,42 @@ def _require_l(operand: Formula, op: str) -> None:
         )
 
 
-# The shapes above build these nodes (init=False); the dataclass adds
-# the slots, repr and frozen assignment.
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+# The shapes above build, compare and hash these nodes; Record adds the
+# repr, pickling and frozen assignment.
 class ExtNeg(_Unary):
-    operand: Formula
+    __slots__ = ()
     _ext_op = "~"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class ExtAnd(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = ()
     _ext_op = "/\\"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class ExtOr(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = ()
     _ext_op = "\\/"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class ExtImp(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = ()
     _ext_op = "=>"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class IntNeg(_Unary):
-    operand: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class IntAnd(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class IntOr(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class IntImp(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
 _L_ROOTS = (Atom, Falsum, ExtNeg, ExtAnd, ExtOr, ExtImp)

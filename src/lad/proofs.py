@@ -26,7 +26,6 @@ Only the n-ary ``diaplus`` has its own check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .contexts import DeniabilityVariant
 from .formulas import (
@@ -49,6 +48,7 @@ from .formulas import (
     _Binary,
     _Unary,
 )
+from .records import Record, _set
 from .syntax import ParseError, parse
 
 ROUND = "round"
@@ -134,10 +134,15 @@ class ProofParseError(Exception):
         self.source_line = source_line
 
 
-@dataclass(frozen=True)
-class Citation:
-    start: int
-    end: int | None = None
+class Citation(Record):
+    __slots__ = __match_args__ = ("start", "end")
+
+    def __init__(self, start: int, end: int | None = None):
+        _set(self, "start", start)
+        _set(self, "end", end)
+
+    def _fields(self):
+        return (self.start, self.end)
 
     @property
     def is_span(self) -> bool:
@@ -147,51 +152,103 @@ class Citation:
         return f"{self.start}-{self.end}" if self.is_span else str(self.start)
 
 
-@dataclass(frozen=True)
-class ProofLine:
-    number: int
-    depth: int
-    formula: Formula
-    rule: str
-    citations: tuple[Citation, ...]
-    chain: tuple[int, ...]
-    source_line: int
+class ProofLine(Record):
+    __slots__ = __match_args__ = (
+        "number", "depth", "formula", "rule", "citations", "chain", "source_line"
+    )
+
+    def __init__(
+        self,
+        number: int,
+        depth: int,
+        formula: Formula,
+        rule: str,
+        citations: tuple[Citation, ...],
+        chain: tuple[int, ...],
+        source_line: int,
+    ):
+        _set(self, "number", number)
+        _set(self, "depth", depth)
+        _set(self, "formula", formula)
+        _set(self, "rule", rule)
+        _set(self, "citations", citations)
+        _set(self, "chain", chain)
+        _set(self, "source_line", source_line)
+
+    def _fields(self):
+        return (
+            self.number, self.depth, self.formula, self.rule,
+            self.citations, self.chain, self.source_line,
+        )
 
 
-@dataclass
-class Subproof:
-    ident: int
-    kind: str
-    start: int
-    hyp: int
-    parent_chain: tuple[int, ...]
-    end: int = -1
+class Subproof(Record):
+    __slots__ = __match_args__ = ("ident", "kind", "start", "hyp", "parent_chain", "end")
+    # The parser sets end when the subproof closes, so fields stay
+    # assignable and the record unhashable.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        ident: int,
+        kind: str,
+        start: int,
+        hyp: int,
+        parent_chain: tuple[int, ...],
+        end: int = -1,
+    ):
+        self.ident = ident
+        self.kind = kind
+        self.start = start
+        self.hyp = hyp
+        self.parent_chain = parent_chain
+        self.end = end
+
+    def _fields(self):
+        return (self.ident, self.kind, self.start, self.hyp, self.parent_chain, self.end)
 
     @property
     def depth(self) -> int:
         return len(self.parent_chain) + 1
 
 
-@dataclass(frozen=True)
-class Violation:
-    line: int
-    code: str
-    detail: str
+class Violation(Record):
+    __slots__ = __match_args__ = ("line", "code", "detail")
+
+    def __init__(self, line: int, code: str, detail: str):
+        _set(self, "line", line)
+        _set(self, "code", code)
+        _set(self, "detail", detail)
+
+    def _fields(self):
+        return (self.line, self.code, self.detail)
 
     def __str__(self) -> str:
         return f"line {self.line}: {self.code}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    violations: tuple[Violation, ...]
+class Verdict(Record):
+    __slots__ = __match_args__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[Violation, ...]):
+        _set(self, "ok", ok)
+        _set(self, "violations", violations)
+
+    def _fields(self):
+        return (self.ok, self.violations)
 
 
-@dataclass(frozen=True)
-class ProofDoc:
-    lines: tuple[ProofLine, ...]
-    subproofs: tuple[Subproof, ...]
+class ProofDoc(Record):
+    __slots__ = __match_args__ = ("lines", "subproofs")
+
+    def __init__(self, lines: tuple[ProofLine, ...], subproofs: tuple[Subproof, ...]):
+        _set(self, "lines", lines)
+        _set(self, "subproofs", subproofs)
+
+    def _fields(self):
+        return (self.lines, self.subproofs)
 
     def line(self, number: int) -> ProofLine:
         return self.lines[number - 1]

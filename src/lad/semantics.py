@@ -35,7 +35,7 @@ found nothing raises WorldLimitExceeded.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .contexts import Context, DeniabilityVariant, World
 from .formulas import (

@@ -3,7 +3,7 @@ characteristic formulas for worlds, contexts and context sets.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .contexts import Context, DeniabilityVariant, EmptyInputError, World
 from .formulas import (

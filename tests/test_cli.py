@@ -297,6 +297,22 @@ class TestErrorContract:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+class TestImportPath:
+    def test_cli_import_skips_heavy_stdlib_modules(self):
+        # -S keeps site-packages .pth files from preloading any of them.
+        src = str(pathlib.Path(lad.__file__).resolve().parents[1])
+        heavy = ("dataclasses", "inspect", "ast", "typing", "json")
+        child = subprocess.run(
+            [sys.executable, "-S", "-c",
+             f"import lad.cli, sys; print(*[m for m in {heavy!r} if m in sys.modules])"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (0, "\n", "")
+
+
 class TestSearchBound:
     def test_valid_sequent_with_twenty_kept_worlds(self):
         # p => (q /\ r) keeps 20 of the 32 worlds, and the sequent is

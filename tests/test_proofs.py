@@ -1,4 +1,3 @@
-import dataclasses
 import pathlib
 
 import pytest
@@ -33,6 +32,7 @@ from lad.proofs import (
     SCHEMAS,
     UNSAFE_CITATION,
     WRONG_SUBPROOF_KIND,
+    ProofLine,
     ProofParseError,
     _check_schema,
     accessible,
@@ -534,7 +534,10 @@ def perturbed_lines(draw):
             resolved.append(draw(st.one_of(st.just(doc.span(cit.start, cit.end)), st.sampled_from(doc.subproofs))))
         else:
             resolved.append(vary(doc.line(cit.start).formula))
-    return doc, dataclasses.replace(line, rule=rule, formula=vary(line.formula)), resolved
+    changed = ProofLine(
+        line.number, line.depth, vary(line.formula), rule, line.citations, line.chain, line.source_line
+    )
+    return doc, changed, resolved
 
 
 class TestSchemaOracle:
