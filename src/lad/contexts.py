@@ -114,8 +114,8 @@ class Context(Record):
             raise EmptyInputError("a context needs at least one atom")
         if list(atoms) != sorted(set(atoms)):
             raise ValueError("context atoms must be sorted and unique")
-        limit = 1 << (1 << len(atoms))
-        if not 0 < members < limit:
+        # Compare bit lengths: the bound itself is a 2**len(atoms)-bit number.
+        if members <= 0 or members.bit_length() > 1 << len(atoms):
             raise ValueError("context members out of range or empty")
         _set(self, "atoms", atoms)
         _set(self, "members", members)
@@ -168,8 +168,8 @@ class Context(Record):
 
 def parse_context(text: str) -> Context:
     atoms: tuple[str, ...] | None = None
-    worlds: list[World] = []
-    seen: set[str] = set()
+    order: list[int] | None = None
+    members = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -181,21 +181,24 @@ def parse_context(text: str) -> Context:
             for name in names:
                 if not ATOM_NAME.fullmatch(name):
                     raise ContextFormatError(f"invalid atom name {name!r}", lineno)
-            atoms = names
+            atoms = tuple(sorted(names))
+            # A line's bits, read in sorted-atom order, are its world's index.
+            order = None if atoms == names else sorted(range(len(names)), key=names.__getitem__)
             continue
-        if len(line) != len(atoms) or set(line) - {"0", "1"}:
+        if len(line) != len(atoms) or line.strip("01"):
             raise ContextFormatError(
                 f"world line must be {len(atoms)} characters of 0/1", lineno
             )
-        if line in seen:
+        bits = line if order is None else "".join([line[j] for j in order])
+        world = 1 << int(bits, 2)
+        if members & world:
             raise ContextFormatError(f"duplicate world {line!r}", lineno)
-        seen.add(line)
-        worlds.append(World(atoms, tuple(c == "1" for c in line)))
+        members |= world
     if atoms is None:
         raise ContextFormatError("missing atom header line")
-    if not worlds:
+    if not members:
         raise ContextFormatError("a context needs at least one world")
-    return Context.from_worlds(worlds)
+    return Context(atoms, members)
 
 
 def format_context(context: Context) -> str:

@@ -1,11 +1,15 @@
 """Bilateral evaluation, entailment and countermodel search.
 
-One engine settles every judgment.  ContextTables computes, for every
-subformula, the table of contexts that assert it and the table that
-deny it, each packed into one big integer (bit position = context
-member set).  By default a table spans every context over the atoms,
-which is viable up to 4 atoms (a 5-atom table is 2**32 bits).  Given a
-sorted list of worlds it spans only the contexts made of those worlds,
+One engine settles every judgment.  ContextTables computes, for a
+subformula, the table of contexts that assert it or the table of those
+that deny it, each packed into one big integer (bit position = context
+member set).  Each side is built only when a clause reads it: ! swaps
+the sides, and a -> denial reads its antecedent's assert side, so a
+question about assertion builds deny tables only under a !.
+
+By default a table spans every context over the atoms, which is
+viable up to 4 atoms (a 5-atom table is 2**32 bits).  Given a sorted
+list of worlds it spans only the contexts made of those worlds,
 with bit i of a position standing for the i-th listed world; that is
 exact, because whether a context asserts or denies a formula depends
 only on the context and its subcontexts.  The per-width masks its
@@ -14,11 +18,15 @@ worlds and shared by every instance; wider tables build their own.
 Extensional formulas are settled by their truth masks over the table's
 worlds (_truth_mask, which truth() runs over one world).
 
-One context is evaluated with tables over its own worlds, keeping one
-world of each class of worlds that agree on every maximal extensional
-subformula of the formula.  Worlds of one class are interchangeable in
-every clause, so this is exact, and a context of any width evaluates
-when it has at most TABLE_WORLD_LIMIT classes (else ContextTooWide).
+One context is evaluated by one walk over the formula's intensional
+nodes, which makes each maximal extensional subformula's truth mask
+over the context's worlds once (and finds every atom the context
+lacks).  Worlds on which all those masks agree form a class.  Worlds of
+one class are interchangeable in every clause, so tables over the
+classes, fed the masks by class, are exact (_ClassTables), and a
+context of any width evaluates when it has at most TABLE_WORLD_LIMIT
+classes (else ContextTooWide).  asserts reads only the assert side and
+denies only the deny side.
 
 Entailment has one search at every atom count (up to the caller's
 bound).  A safe premise persists, so a countermodel is made of kept
@@ -214,19 +222,24 @@ class ContextTables:
                 f"world indices below {1 << self.n}"
             )
         self.variant = DeniabilityVariant.coerce(variant)
-        self.n_worlds = len(self.worlds)
-        self.full_worlds = (1 << self.n_worlds) - 1
+        self._set_width(len(self.worlds))
+        self._atom_masks = _atom_masks(self.atoms, self.worlds)
+        self._truths: dict[Formula, int] = {}
+        # The assert tables and the deny tables, each built on demand.
+        self._tables: tuple[dict[Formula, int], dict[Formula, int]] = ({}, {})
+
+    def _set_width(self, n_worlds: int) -> None:
+        self.n_worlds = n_worlds
+        self.full_worlds = (1 << n_worlds) - 1
         # Bit sets over table positions (contexts), used by the
         # subset-closure transform: position masks whose world-bit b
         # is clear.
-        self.universe = (1 << (1 << self.n_worlds)) - 1
+        self.universe = (1 << (1 << n_worlds)) - 1
         self.nonempty = self.universe & ~1
-        if self.n_worlds <= _SHARED_MASK_WORLDS:
-            self._clear_bit = _shared_clear_bit_masks(self.n_worlds)
+        if n_worlds <= _SHARED_MASK_WORLDS:
+            self._clear_bit = _shared_clear_bit_masks(n_worlds)
         else:
-            self._clear_bit = _clear_bit_masks(self.n_worlds)
-        self._atom_masks = _atom_masks(self.atoms, self.worlds)
-        self._tables: dict[Formula, tuple[int, int]] = {}
+            self._clear_bit = _clear_bit_masks(n_worlds)
 
     def members(self, position: int) -> int:
         """Member bit set, over all worlds, of the context at a position."""
@@ -237,8 +250,12 @@ class ContextTables:
         return out
 
     def l_truth_mask(self, alpha: Formula) -> int:
-        """Bit set of table worlds, by rank, where the extensional alpha is true."""
-        return _truth_mask(alpha, self._atom_masks, self.full_worlds)
+        """Bit set of table worlds, by rank, where the extensional alpha
+        is true; made once, whichever side reads it first."""
+        t = self._truths.get(alpha)
+        if t is None:
+            t = self._truths[alpha] = _truth_mask(alpha, self._atom_masks, self.full_worlds)
+        return t
 
     def subsets_table(self, world_mask: int) -> int:
         """Indicator of all (possibly empty) subsets of world_mask."""
@@ -250,10 +267,10 @@ class ContextTables:
             rest ^= low
         return table
 
-    def _leaf(self, t: int) -> tuple[int, int]:
-        """(assert table, deny table) of an extensional formula true at
-        the table worlds t: every nonempty subset of t, and of the rest."""
-        return self.subsets_table(t) & ~1, self.subsets_table(self.full_worlds ^ t) & ~1
+    def _leaf(self, t: int) -> int:
+        """Assert table of an extensional formula true at the table worlds
+        t: every nonempty subset of t.  Its deny table is _leaf of the rest."""
+        return self.subsets_table(t) & ~1
 
     def has_subset(self, table: int) -> int:
         """Close a table upward: set bit m when some s <= m is set."""
@@ -263,47 +280,48 @@ class ContextTables:
 
     def tables(self, phi: Formula) -> tuple[int, int]:
         """(assert table, deny table) for phi."""
-        cached = self._tables.get(phi)
-        if cached is not None:
-            return cached
-        result = self._build(phi)
-        self._tables[phi] = result
-        return result
-
-    def _build(self, phi: Formula) -> tuple[int, int]:
-        if is_l_formula(phi):
-            return self._leaf(self.l_truth_mask(phi))
-        if isinstance(phi, IntNeg):
-            a, d = self.tables(phi.operand)
-            return d, a
-        if isinstance(phi, IntAnd):
-            a1, d1 = self.tables(phi.left)
-            a2, d2 = self.tables(phi.right)
-            return a1 & a2, d1 | d2
-        if isinstance(phi, IntOr):
-            a1, d1 = self.tables(phi.left)
-            a2, d2 = self.tables(phi.right)
-            return a1 | a2, d1 & d2
-        if isinstance(phi, IntImp):
-            a1, _ = self.tables(phi.left)
-            a2, d2 = self.tables(phi.right)
-            bad = a1 & (self.universe ^ a2)
-            assert_table = self.nonempty & (self.universe ^ self.has_subset(bad))
-            if self.variant is DeniabilityVariant.NELSON:
-                deny_table = a1 & d2
-            elif self.variant is DeniabilityVariant.CONNEXIVE:
-                undeny = a1 & (self.universe ^ d2)
-                deny_table = self.nonempty & (self.universe ^ self.has_subset(undeny))
-            else:
-                deny_table = self.has_subset(a1 & d2) & self.nonempty
-            return assert_table, deny_table
-        raise TypeError(f"not a formula: {phi!r}")
+        return self.table(phi, False), self.table(phi, True)
 
     def assert_table(self, phi: Formula) -> int:
-        return self.tables(phi)[0]
+        return self.table(phi, False)
 
     def deny_table(self, phi: Formula) -> int:
-        return self.tables(phi)[1]
+        return self.table(phi, True)
+
+    def table(self, phi: Formula, deny: bool) -> int:
+        """The deny table of phi when deny is set, else its assert table.
+        Each side is built only when a clause reads it."""
+        cache = self._tables[deny]
+        table = cache.get(phi)
+        if table is None:
+            table = cache[phi] = self._build(phi, deny)
+        return table
+
+    def _build(self, phi: Formula, deny: bool) -> int:
+        if is_l_formula(phi):
+            t = self.l_truth_mask(phi)
+            return self._leaf(self.full_worlds ^ t if deny else t)
+        if isinstance(phi, IntNeg):
+            return self.table(phi.operand, not deny)
+        if isinstance(phi, (IntAnd, IntOr)):
+            left = self.table(phi.left, deny)
+            right = self.table(phi.right, deny)
+            # Asserting a conjunction or denying a disjunction takes both
+            # operands; the other two judgments take either.
+            return left & right if isinstance(phi, IntAnd) != deny else left | right
+        if isinstance(phi, IntImp):
+            a1 = self.table(phi.left, False)
+            if not deny:
+                bad = a1 & (self.universe ^ self.table(phi.right, False))
+                return self.nonempty & (self.universe ^ self.has_subset(bad))
+            d2 = self.table(phi.right, True)
+            if self.variant is DeniabilityVariant.NELSON:
+                return a1 & d2
+            if self.variant is DeniabilityVariant.CONNEXIVE:
+                undeny = a1 & (self.universe ^ d2)
+                return self.nonempty & (self.universe ^ self.has_subset(undeny))
+            return self.has_subset(a1 & d2) & self.nonempty
+        raise TypeError(f"not a formula: {phi!r}")
 
 
 class _SingletonTables(ContextTables):
@@ -322,28 +340,40 @@ class _SingletonTables(ContextTables):
         self.worlds = range(1 << len(atoms))
         self.full_worlds = self.universe = self.nonempty = (1 << len(self.worlds)) - 1
         self._atom_masks = _atom_masks(atoms, self.worlds)
-        self._tables = {}
+        self._truths = {}
+        self._tables = ({}, {})
 
-    def _leaf(self, t: int) -> tuple[int, int]:
-        return t, self.full_worlds ^ t
+    def _leaf(self, t: int) -> int:
+        return t
 
     def has_subset(self, table: int) -> int:
         return table
 
 
-def evaluate(
-    context: Context, phi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER
-) -> tuple[bool, bool]:
-    """(asserted, denied): does the context assert phi, and deny it?
+class _ClassTables(ContextTables):
+    """Tables over the classes of one context's worlds (see _point_tables):
+    bit i of a position stands for the i-th class, and the formula's
+    maximal extensional subformulas come with their truth masks over the
+    classes, so no atom or world list is needed."""
 
-    Reads the tables over one world of each class of the context's
-    worlds that agree on every maximal extensional subformula of phi
-    (see the module docstring); raises ContextTooWide past
-    TABLE_WORLD_LIMIT classes.
-    """
-    missing = atoms_of(phi) - set(context.atoms)
-    if missing:
-        raise UnknownAtomError(", ".join(sorted(missing)))
+    def __init__(
+        self, variant: DeniabilityVariant | str, n_classes: int, leaf_masks: dict[Formula, int]
+    ):
+        self.variant = DeniabilityVariant.coerce(variant)
+        self._set_width(n_classes)
+        self._truths = leaf_masks
+        self._tables = ({}, {})
+
+    def holds(self, phi: Formula, deny: bool) -> bool:
+        """Does the whole context (every class) deny phi, or assert it?"""
+        return bool(self.table(phi, deny) >> self.full_worlds & 1)
+
+
+def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | str) -> _ClassTables:
+    """Tables over the classes of the context's worlds that agree on every
+    maximal extensional subformula of phi (see the module docstring).
+    Raises UnknownAtomError naming every atom of phi the context lacks,
+    then ContextTooWide past TABLE_WORLD_LIMIT classes."""
     worlds = []
     rest = context.members
     while rest:
@@ -352,34 +382,53 @@ def evaluate(
         rest ^= low
     full = (1 << len(worlds)) - 1
     masks = _atom_masks(context.atoms, worlds)
-    leaves = set()
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if is_l_formula(node):
-            leaves.add(node)
-        else:
-            stack.extend(node.children())
+    # One walk over phi's intensional nodes: the truth mask over the
+    # context's worlds of each of its maximal extensional subformulas.
+    truths = {}
+    stack = [(phi,)]
+    try:
+        while stack:
+            for node in stack.pop():
+                if not is_l_formula(node):
+                    stack.append(node.children())
+                elif node not in truths:
+                    truths[node] = _truth_mask(node, masks, full)
+    except UnknownAtomError:
+        missing = atoms_of(phi).difference(context.atoms)
+        raise UnknownAtomError(", ".join(sorted(missing))) from None
     classes = [full]
-    for leaf in leaves:
-        t = _truth_mask(leaf, masks, full)
+    for t in truths.values():
         classes = [part for c in classes for part in (c & t, c & ~t) if part]
     if len(classes) > TABLE_WORLD_LIMIT:
         raise ContextTooWide(len(classes), TABLE_WORLD_LIMIT)
-    reps = sorted(worlds[(c & -c).bit_length() - 1] for c in classes)
-    tab = ContextTables(context.atoms, variant, reps)
-    a, d = tab.tables(phi)
-    return bool(a >> tab.full_worlds & 1), bool(d >> tab.full_worlds & 1)
+    # Re-index each truth mask by class: class j takes the value at its
+    # lowest world, of rank reps[j].
+    reps = [(c & -c).bit_length() - 1 for c in classes]
+    for leaf, t in truths.items():
+        truths[leaf] = sum((t >> r & 1) << j for j, r in enumerate(reps))
+    return _ClassTables(variant, len(classes), truths)
+
+
+def evaluate(
+    context: Context, phi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER
+) -> tuple[bool, bool]:
+    """(asserted, denied): does the context assert phi, and deny it?
+
+    Reads the tables over the classes of the context's worlds (see
+    _point_tables); raises ContextTooWide past TABLE_WORLD_LIMIT classes.
+    """
+    tab = _point_tables(context, phi, variant)
+    return tab.holds(phi, False), tab.holds(phi, True)
 
 
 def asserts(context: Context, phi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER) -> bool:
-    """Does the context assert phi?"""
-    return evaluate(context, phi, variant)[0]
+    """Does the context assert phi?  Builds no table phi's assertion does not read."""
+    return _point_tables(context, phi, variant).holds(phi, False)
 
 
 def denies(context: Context, phi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER) -> bool:
-    """Does the context deny phi?"""
-    return evaluate(context, phi, variant)[1]
+    """Does the context deny phi?  Builds no table phi's denial does not read."""
+    return _point_tables(context, phi, variant).holds(phi, True)
 
 
 def sequent_atoms(premises: Iterable[Formula], conclusion: Formula) -> tuple[str, ...]:

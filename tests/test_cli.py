@@ -10,7 +10,7 @@ import lad
 from lad.cli import main
 from lad.contexts import parse_context
 from lad.corpus import ILLEGAL_PROOF, MURDER_CONTEXT, REJECTED_PROOFS
-from lad.semantics import ContextTables
+from lad.semantics import ContextTables, _ClassTables
 
 MURDER_SEQUENT = [
     "p \\/ q",
@@ -34,7 +34,7 @@ SELF_IMPLICATION = "((s -> t) -> q) -> ((s -> t) -> q)"
 FULL_FIVE_ATOM_CONTEXT = "p q r s t\n" + "".join(f"{w:05b}\n" for w in range(32))
 
 
-def run_lad(argv, env=None, stdin=""):
+def run_lad(argv, env=None, stdin="", preexec_fn=None):
     """Run ``python -m lad`` in a fresh process on this checkout's source."""
     src = str(pathlib.Path(lad.__file__).resolve().parents[1])
     return subprocess.run(
@@ -44,6 +44,7 @@ def run_lad(argv, env=None, stdin=""):
         capture_output=True,
         text=True,
         timeout=120,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -93,18 +94,37 @@ class TestEval:
         assert code == 2 and "error:" in err
 
     def test_one_evaluator_for_both_passes(self, capsys, murder_file, monkeypatch):
-        # Each formula is evaluated once: one table over the context's
-        # worlds answers both the assert and the deny pass.
+        # Each formula is evaluated once: one set of tables over the
+        # classes of the context's worlds answers both the assert and
+        # the deny pass, and no other tables are built.
         built = []
-        init = ContextTables.__init__
+        for cls in (ContextTables, _ClassTables):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(self)
+                _init(self, *args, **kwargs)
 
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(ContextTables, "__init__", counting_init)
+            monkeypatch.setattr(cls, "__init__", counting_init)
         code, _, _ = run(capsys, "eval", murder_file, "p -> (r -> t)", "!(q -> s)")
         assert code == 0 and len(built) == 2
+
+    def test_few_worlds_over_36_atoms_under_a_memory_cap(self, tmp_path):
+        # members is 3, but a bound of 1 << 2**36 on it would be an 8 GB
+        # number.  The cap makes any such allocation fail at once.
+        resource = pytest.importorskip("resource")
+        cap = 1536 << 20
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        atoms = [f"a{i:02}" for i in range(36)]
+        path = tmp_path / "wide.ctx"
+        path.write_text(" ".join(atoms) + "\n" + "0" * 36 + "\n" + "0" * 35 + "1\n")
+        proc = run_lad(["eval", str(path), "a00 -> a35", "!(a35 -> a00)"], preexec_fn=limit_memory)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "a00 -> a35: asserted=true denied=false",
+            "!(a35 -> a00): asserted=true denied=false",
+        ]
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "eval", "no/such/file.ctx", "p")

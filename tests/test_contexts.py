@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import all_contexts, contexts_over
 from lad.contexts import (
@@ -12,6 +15,8 @@ from lad.contexts import (
     parse_context,
     world_from_index,
 )
+from lad.semantics import evaluate
+from lad.syntax import parse
 
 
 class TestWorld:
@@ -57,6 +62,28 @@ class TestContext:
             Context(("p",), 0)
         with pytest.raises(ValueError):
             Context(("p",), 4)
+        with pytest.raises(ValueError):
+            Context(("p", "q"), -1)
+        with pytest.raises(ValueError):
+            Context(("p", "q"), 1 << 4)
+        assert Context(("p",), 3).members == 3
+        assert Context(("p", "q"), 0b1111).members == 0b1111
+
+    def test_few_worlds_over_many_atoms_cost_little(self):
+        # Two worlds over 28 atoms: members is 3, where the bound
+        # 1 << 2**28 on it would be a 32 MB number.
+        atoms = [f"a{i:02}" for i in range(28)]
+        text = " ".join(atoms) + "\n" + "0" * 28 + "\n" + "0" * 27 + "1\n"
+        phi = parse("a00 -> a27")
+        tracemalloc.start()
+        try:
+            ctx = parse_context(text)
+            judged = evaluate(ctx, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ctx.members == 0b11 and judged == (True, False)
+        assert peak < 1 << 20
 
     def test_unsorted_atoms_rejected(self):
         # silently permuting atoms would renumber the member worlds
@@ -144,6 +171,29 @@ class TestContextFiles:
             parse_context("p 2q\n11\n")
         with pytest.raises(ContextFormatError):
             parse_context("pé\n1\n")
+
+    def test_header_out_of_sorted_order(self):
+        # Columns follow the header: "10" under "q p" is q true, p false.
+        ctx = parse_context("q p\n10\n11\n")
+        assert ctx.atoms == ("p", "q")
+        assert [w.bits() for w in ctx.worlds()] == ["01", "11"]
+        assert ctx == parse_context("p q\n01\n11\n")
+
+    def test_duplicate_world_under_an_unsorted_header(self):
+        with pytest.raises(ContextFormatError) as exc:
+            parse_context("r p q\n100\n# note\n\n001\n100\n")
+        assert exc.value.line == 6 and "'100'" in str(exc.value)
+
+    @given(st.data())
+    def test_matches_the_world_records(self, data):
+        names = data.draw(st.lists(st.sampled_from(["p", "q", "r", "s", "a1", "zz"]),
+                                   min_size=1, max_size=5, unique=True))
+        rows = data.draw(st.lists(st.tuples(*[st.booleans()] * len(names)),
+                                  min_size=1, max_size=8, unique=True))
+        text = " ".join(names) + "\n" + "".join(
+            "".join("1" if v else "0" for v in row) + "  # a world\n" for row in rows)
+        want = Context.from_worlds([World(tuple(names), row) for row in rows])
+        assert parse_context(text) == want
 
 
 class TestVariant:

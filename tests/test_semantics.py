@@ -563,3 +563,50 @@ class TestBounds:
     def test_asserts_checks_atoms(self):
         with pytest.raises(UnknownAtomError):
             asserts(Context(("p",), 1), Q)
+
+    def test_every_unknown_atom_named_before_the_class_limit(self):
+        # Without zz and b this is test_too_many_classes' formula.
+        wide = Context.full(("p", "q", "r", "s", "t"))
+        phi = parse("(p & q & r) -> (s & t & zz & b)")
+        for judge in (asserts, denies, evaluate):
+            with pytest.raises(UnknownAtomError) as info:
+                judge(wide, phi)
+            assert str(info.value) == "b, zz"
+
+
+class TestPerSideTables:
+    """A judgment builds only the tables its clauses read: ! swaps the
+    sides, and only a -> denial reads its antecedent's assert side."""
+
+    def test_asserting_an_implication_runs_one_closure(self, monkeypatch):
+        closures = []
+        has_subset = ContextTables.has_subset
+
+        def counting(self, table):
+            closures.append(table)
+            return has_subset(self, table)
+
+        monkeypatch.setattr(ContextTables, "has_subset", counting)
+        ctx = Context(("p", "q"), 0b1011)
+        assert asserts(ctx, parse("p -> q"), "gauker")
+        assert len(closures) == 1
+        closures.clear()
+        assert not denies(ctx, parse("p -> q"), "gauker")
+        assert len(closures) == 1
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+    def test_queries_without_negation_build_no_deny_table(self, monkeypatch, variant):
+        sides = []
+        build = ContextTables._build
+
+        def recording(self, phi, deny):
+            sides.append(deny)
+            return build(self, phi, deny)
+
+        monkeypatch.setattr(ContextTables, "_build", recording)
+        premises = [parse("p \\/ q"), parse("p -> (r -> s)"), parse("p & (q | r)")]
+        countermodel(premises, parse("(q -> s) | r"), variant)
+        equivalent(parse("p -> (q -> r)"), parse("p & q -> r"), variant)
+        persistence_witness(parse("(p -> q) -> r"), variant)
+        asserts(Context(("p", "q", "r"), 0b10110110), parse("(p -> q) -> r"), variant)
+        assert sides and not any(sides)
