@@ -45,7 +45,8 @@ class Formula(Record):
 
     Each node computes its structural hash once, when it is built, from
     its type and its children's cached hashes, so hashing costs O(1)
-    and never recurses.  Equality stays structural.  str hashes are
+    and never recurses.  Equality stays structural and walks its own
+    stack (_same), so it never recurses either.  str hashes are
     salted per process, so the cached hash never travels with a node:
     pickling and copying rebuild the node through its constructor.
     """
@@ -67,10 +68,10 @@ class _Unary(Formula):
     _ext_op: str | None = None  # extensional symbol: the operand must be in L
 
     def __init__(self, operand: Formula):
-        if self._ext_op is not None:
+        if self._ext_op is not None and not isinstance(operand, _L_ROOTS):
             _require_l(operand, self._ext_op)
-        _set(self, "operand", operand)
-        _set(self, "_hash", hash((type(self), operand._hash)))
+        _set_operand(self, operand)
+        _set_hash(self, hash((self.__class__, operand._hash)))
 
     def children(self):
         return (self.operand,)
@@ -78,8 +79,7 @@ class _Unary(Formula):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        a, b = self.operand, other.operand
-        return a is b or a == b
+        return self is other or _same(self, other)
 
     __hash__ = Formula.__hash__  # defining __eq__ alone would unset it
 
@@ -89,12 +89,15 @@ class _Binary(Formula):
     _ext_op: str | None = None  # extensional symbol: both operands must be in L
 
     def __init__(self, left: Formula, right: Formula):
-        if self._ext_op is not None:
+        # is_l_formula written out: the common case makes no call.
+        if self._ext_op is not None and not (
+            isinstance(left, _L_ROOTS) and isinstance(right, _L_ROOTS)
+        ):
             _require_l(left, self._ext_op)
             _require_l(right, self._ext_op)
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", hash((type(self), left._hash, right._hash)))
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((self.__class__, left._hash, right._hash)))
 
     def children(self):
         return (self.left, self.right)
@@ -102,8 +105,7 @@ class _Binary(Formula):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # Tuple comparison skips identical children without a call.
-        return (self.left, self.right) == (other.left, other.right)
+        return self is other or _same(self, other)
 
     __hash__ = Formula.__hash__
 
@@ -136,6 +138,13 @@ class Falsum(Formula):
 
 
 FALSUM = Falsum()
+
+# Constructors set fields through the slot descriptors themselves, which
+# is what records._set does, less the name lookup and checks.
+_set_hash = Formula._hash.__set__
+_set_operand = _Unary.operand.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
 
 
 def _require_l(operand: Formula, op: str) -> None:
@@ -185,6 +194,43 @@ class IntImp(_Binary):
 
 _L_ROOTS = (Atom, Falsum, ExtNeg, ExtAnd, ExtOr, ExtImp)
 _INT_BINARY = (IntAnd, IntOr, IntImp)
+_BINARY_TYPES = frozenset((ExtAnd, ExtOr, ExtImp, IntAnd, IntOr, IntImp))
+_UNARY_TYPES = frozenset((ExtNeg, IntNeg))
+
+
+def _same(a: Formula, b: Formula) -> bool:
+    """Structural equality of two distinct nodes of one class, walked
+    without recursion, so depth costs no stack frames.  Differing cached
+    hashes settle it at once.  The walk descends into one differing
+    child of each node and stacks only the other, and skips identical
+    children.  The node classes are the closed set this module defines."""
+    if a._hash != b._hash:
+        return False
+    stack = []
+    while True:
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls in _BINARY_TYPES:
+            x, y = a.left, b.left
+            a, b = a.right, b.right
+            if x is not y:
+                if a is not b:
+                    stack.append((a, b))
+                a, b = x, y
+                continue
+            if a is not b:
+                continue
+        elif cls is Atom:
+            if a.name != b.name:
+                return False
+        elif cls in _UNARY_TYPES:
+            a, b = a.operand, b.operand
+            if a is not b:
+                continue
+        if not stack:
+            return True
+        a, b = stack.pop()
 
 
 def is_l_formula(phi: Formula) -> bool:

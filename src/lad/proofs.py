@@ -54,7 +54,6 @@ from .syntax import ParseError, parse
 ROUND = "round"
 SQUARE = "square"
 _KIND_BY_CHAR = {"o": ROUND, "*": SQUARE}
-_CHAR_BY_KIND = {ROUND: "o", SQUARE: "*"}
 
 RULE_MISMATCH = "RULE_MISMATCH"
 NOT_L_FORMULA = "NOT_L_FORMULA"
@@ -270,23 +269,33 @@ class ProofDoc(Record):
 
 
 _MARKED = re.compile(r"([*o]+)\s+(.*)$")
-_CITE = re.compile(r"(\d+)(?:-(\d+))?$")
+_CITE = re.compile(r"(\d+)-(\d+)$")
 
 
 def parse_proof(text: str) -> ProofDoc:
     lines: list[ProofLine] = []
     subproofs: list[Subproof] = []
     open_stack: list[Subproof] = []
+    # The open subproofs' idents and marker characters, outermost first.
+    # They change only when a hyp opens a subproof or a line closes some.
+    chain: tuple[int, ...] = ()
+    marks = ""
     seen_body = False
-    # Proofs restate formulas (hypotheses reiterated, case branches
-    # ending in the conclusion), so each distinct text is parsed once.
-    # Equal lines then share one Formula, and check's == on them stops
-    # at the root's children, which are identical.
+    # One node table for the whole proof (see lad.syntax), so a
+    # subformula that recurs on any lines is one object, and check's
+    # matching and verify_sound's table lookups find it by identity.
+    # Proofs restate whole lines too (hypotheses reiterated, case
+    # branches ending in the conclusion), so each distinct text is
+    # parsed once.
+    nodes: dict = {}
     parsed: dict[str, Formula] = {}
 
     def close_down(keep: int) -> None:
-        while len(open_stack) > keep:
-            open_stack.pop().end = len(lines)
+        nonlocal chain, marks
+        for sub in open_stack[keep:]:
+            sub.end = len(lines)
+        del open_stack[keep:]
+        chain, marks = chain[:keep], marks[:keep]
 
     for source_line, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -304,7 +313,7 @@ def parse_proof(text: str) -> ProofDoc:
         formula = parsed.get(formula_text)
         if formula is None:
             try:
-                formula = parse(formula_text)
+                formula = parse(formula_text, nodes)
             except ParseError as exc:
                 raise ProofParseError(f"bad formula: {exc}", source_line) from exc
             parsed[formula_text] = formula
@@ -318,12 +327,13 @@ def parse_proof(text: str) -> ProofDoc:
         if len(fields) > 1:
             for token in fields[1].split(","):
                 token = token.strip()
+                if token.isdecimal():  # what \d+ matches, without the regex
+                    citations.append(Citation(int(token)))
+                    continue
                 cm = _CITE.fullmatch(token)
                 if not cm:
                     raise ProofParseError(f"bad citation {token!r}", source_line)
-                start = int(cm.group(1))
-                end = int(cm.group(2)) if cm.group(2) else None
-                citations.append(Citation(start, end))
+                citations.append(Citation(int(cm.group(1)), int(cm.group(2))))
         number = len(lines) + 1
 
         if rule in ("premise", "hyp") and citations:
@@ -339,41 +349,29 @@ def parse_proof(text: str) -> ProofDoc:
         if rule == "hyp":
             if depth == 0:
                 raise ProofParseError("hyp outside any subproof", source_line)
-            if depth > len(open_stack) + 1:
+            if depth > len(chain) + 1:
                 raise ProofParseError("marker depth skips a level", source_line)
-            close_down(depth - 1)
-            for i in range(depth - 1):
-                if markers[i] != _CHAR_BY_KIND[open_stack[i].kind]:
-                    raise ProofParseError("marker kind mismatch", source_line)
-            sub = Subproof(
-                ident=len(subproofs),
-                kind=_KIND_BY_CHAR[markers[depth - 1]],
-                start=number,
-                hyp=number,
-                parent_chain=tuple(s.ident for s in open_stack),
-            )
+            if depth <= len(chain):
+                close_down(depth - 1)
+            if markers[:-1] != marks:
+                raise ProofParseError("marker kind mismatch", source_line)
+            sub = Subproof(len(subproofs), _KIND_BY_CHAR[markers[-1]], number, number, chain)
             subproofs.append(sub)
             open_stack.append(sub)
+            chain += (sub.ident,)
+            marks = markers
         else:
-            if depth > len(open_stack):
-                if depth == len(open_stack) + 1:
+            if depth > len(chain):
+                if depth == len(chain) + 1:
                     raise ProofParseError("subproof must start with hyp", source_line)
                 raise ProofParseError("marker depth skips a level", source_line)
-            close_down(depth)
-            for i in range(depth):
-                if markers[i] != _CHAR_BY_KIND[open_stack[i].kind]:
-                    raise ProofParseError("marker kind mismatch", source_line)
+            if depth < len(chain):
+                close_down(depth)
+            if markers != marks:
+                raise ProofParseError("marker kind mismatch", source_line)
 
         lines.append(
-            ProofLine(
-                number=number,
-                depth=depth,
-                formula=formula,
-                rule=rule,
-                citations=tuple(citations),
-                chain=tuple(s.ident for s in open_stack),
-                source_line=source_line,
-            )
+            ProofLine(number, depth, formula, rule, tuple(citations), chain, source_line)
         )
 
     if not lines:

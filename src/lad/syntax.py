@@ -25,6 +25,19 @@ the order in which a recursive-descent parser builds, so the first
 error, and its position, are the ones it would report.  A run of
 disjunctions at one level is folded at once, right to left, so that
 adjacent (+) operands form one n-ary (+).
+
+Every node is built through a node table, a dict from the atom name,
+or from the connective's token and the ids of the children, to the
+node (Filliatre and Conchon's unique table, "Type-safe modular
+hash-consing", 2006).  So each distinct subformula is built once, and
+equal subformulas of the result are the same object.  The <> and (+)
+expansions go through the table too.  The sharing has the scope of the
+table: parse(text) makes a fresh one per call and keeps nothing after
+it returns, and parse(text, nodes) shares with everything earlier
+calls built into the same dict (lad.proofs.parse_proof passes one per
+proof).  A key holds ids only of nodes the table keeps alive, either
+as values or as their children, and a failed constructor (LayerError)
+adds no entry.
 """
 from __future__ import annotations
 
@@ -45,10 +58,9 @@ from .formulas import (
     IntNeg,
     IntOr,
     LayerError,
-    diamond,
+    is_l_formula,
     match_diamond,
     match_plus,
-    plus_disj,
 )
 
 
@@ -105,19 +117,23 @@ def _position(text: str, k: int) -> int:
     return starts[k]
 
 
-def parse(text: str) -> Formula:
+def parse(text: str, nodes: dict | None = None) -> Formula:
     """Parse concrete syntax into a formula, expanding <> and (+).
+
+    nodes is the node table (module docstring).  Calls given the same
+    dict share their equal subformulas; with none, the call makes its
+    own.  Fill the dict only through parse.
 
     Raises ParseError for malformed text and LayerError for an
     extensional connective over a non-L operand.
     """
+    if nodes is None:
+        nodes = {}
     tokens = _TOKEN.findall(text)
     end = len(tokens)
     tokens.append("")  # the end of input
     ops: list[int] = []  # token indices of the pending operators and groups
     vals: list[Formula] = []
-    # One Atom per distinct name, so each name is validated once per call.
-    atoms: dict[str, Atom] = {}
     i = 0
     while True:
         # Operand position: any prefixes and open groups, then a primary.
@@ -129,9 +145,11 @@ def parse(text: str) -> Formula:
         if tok == "_|_":
             vals.append(FALSUM)
         elif tok and tok[0] in _LETTERS:
-            atom = atoms.get(tok)
+            # The table holds one Atom per name, keyed by the name, so
+            # each name is validated once.
+            atom = nodes.get(tok)
             if atom is None:
-                atom = atoms[tok] = Atom(tok)
+                atom = nodes[tok] = Atom(tok)
             vals.append(atom)
         else:
             raise ParseError(
@@ -145,11 +163,11 @@ def parse(text: str) -> Formula:
             tok = tokens[i]
             level = _BINARY.get(tok)
             if level is not None:
-                _reduce(text, tokens, ops, vals, level)
+                _reduce(text, tokens, ops, vals, level, nodes)
                 ops.append(i)
                 i += 1
                 break
-            _reduce(text, tokens, ops, vals, _GROUP)
+            _reduce(text, tokens, ops, vals, _GROUP, nodes)
             if not ops:
                 if i < end:
                     raise ParseError(f"trailing input {tok!r}", _position(text, i))
@@ -162,7 +180,33 @@ def parse(text: str) -> Formula:
             i += 1
 
 
-def _reduce(text: str, tokens: list[str], ops: list[int], vals: list[Formula], level: int) -> None:
+def _unary(nodes: dict, op: str, operand: Formula) -> Formula:
+    """The node of prefix token op over operand, from the table or
+    built into it."""
+    key = (op, id(operand))
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = _NODE[op](operand)
+    return node
+
+
+def _binary(nodes: dict, op: str, left: Formula, right: Formula) -> Formula:
+    key = (op, id(left), id(right))
+    node = nodes.get(key)
+    if node is None:
+        # A LayerError leaves the table as it was.
+        node = nodes[key] = _NODE[op](left, right)
+    return node
+
+
+def _diamond(nodes: dict, phi: Formula) -> Formula:
+    """<>phi, expanded as formulas.diamond does."""
+    return _unary(nodes, "!", _binary(nodes, "->", phi, FALSUM))
+
+
+def _reduce(
+    text: str, tokens: list[str], ops: list[int], vals: list[Formula], level: int, nodes: dict
+) -> None:
     """Build the pending operators that bind tighter than level, top of
     the stack first.  Binary operators associate to the right, so one of
     equal level stays pending; a run of disjunctions is folded whole."""
@@ -180,23 +224,32 @@ def _reduce(text: str, tokens: list[str], ops: list[int], vals: list[Formula], l
             del ops[start:]
             items = vals[-len(run) - 1:]
             del vals[-len(run) - 1:]
-            vals.append(_fold_disj(text, tokens, run, items))
+            vals.append(_fold_disj(text, tokens, run, items, nodes))
             continue
         ops.pop()
-        if op == "<>":
-            vals.append(diamond(vals.pop()))
-            continue
         right = vals.pop()
-        try:
-            if op_level == _PREFIX:
-                vals.append(_NODE[op](right))
-            else:
-                vals.append(_NODE[op](vals.pop(), right))
-        except LayerError as exc:
-            _layer_error(text, op, k, exc)
+        if op == "<>":
+            vals.append(_diamond(nodes, right))
+            continue
+        # _unary and _binary written out, since this runs once per node.
+        if op_level == _PREFIX:
+            left = None
+            key = (op, id(right))
+        else:
+            left = vals.pop()
+            key = (op, id(left), id(right))
+        node = nodes.get(key)
+        if node is None:
+            try:
+                node = nodes[key] = _NODE[op](right) if left is None else _NODE[op](left, right)
+            except LayerError as exc:
+                _layer_error(text, op, k, exc.offending)
+        vals.append(node)
 
 
-def _fold_disj(text: str, tokens: list[str], run: list[int], items: list[Formula]) -> Formula:
+def _fold_disj(
+    text: str, tokens: list[str], run: list[int], items: list[Formula], nodes: dict
+) -> Formula:
     """Fold a run of disjunctions right to left.  Consecutive (+)
     operands collapse into one n-ary expansion, because the expansion
     of a nested (+) is not an L-formula and could never feed an outer
@@ -214,32 +267,39 @@ def _fold_disj(text: str, tokens: list[str], run: list[int], items: list[Formula
                 plus.insert(0, item)
             continue
         if plus is not None:
-            result = _plus(text, plus_at, plus)
+            result = _plus(text, plus_at, plus, nodes)
             plus = None
         try:
-            result = _NODE[op](item, result)
+            result = _binary(nodes, op, item, result)
         except LayerError as exc:
-            _layer_error(text, op, k, exc)
+            _layer_error(text, op, k, exc.offending)
     if plus is not None:
-        result = _plus(text, plus_at, plus)
+        result = _plus(text, plus_at, plus, nodes)
     return result
 
 
-def _plus(text: str, k: int, operands: list[Formula]) -> Formula:
-    try:
-        return plus_disj(operands)
-    except LayerError as exc:
-        _layer_error(text, "(+)", k, exc)
+def _plus(text: str, k: int, operands: list[Formula], nodes: dict) -> Formula:
+    """The (+) expansion of formulas.plus_disj, built through the table:
+    (a1 \\/ ... \\/ an) & (<>a1 & ... & <>an)."""
+    for a in operands:
+        if not is_l_formula(a):
+            _layer_error(text, "(+)", k, a)
+    union = operands[-1]
+    possible = _diamond(nodes, union)
+    for a in reversed(operands[:-1]):
+        union = _binary(nodes, "\\/", a, union)
+        possible = _binary(nodes, "&", _diamond(nodes, a), possible)
+    return _binary(nodes, "&", union, possible)
 
 
-def _layer_error(text: str, op: str, k: int, exc: LayerError):
-    """Re-raise a constructor's LayerError with the parser's message and
-    the position of the operator at token k."""
+def _layer_error(text: str, op: str, k: int, offending: Formula):
+    """Raise the parser's LayerError for the operator at token k over
+    the offending operand."""
     if op == "(+)":
         message = "operand of (+) is not an L-formula"
     else:
         message = f"operand of extensional {op!r} is not an L-formula"
-    raise LayerError(message, position=_position(text, k), offending=exc.offending) from None
+    raise LayerError(message, position=_position(text, k), offending=offending) from None
 
 
 _PREC_IMP, _PREC_DISJ, _PREC_CONJ, _PREC_PREFIX = 1, 2, 3, 4

@@ -19,6 +19,7 @@ from lad.formulas import (
     ExtOr,
     FALSUM,
     Falsum,
+    Formula,
     IntAnd,
     IntImp,
     IntNeg,
@@ -129,6 +130,26 @@ class TestStructure:
         fresh = parse(text)
         assert phi == fresh and hash(phi) == hash(fresh)
         assert {fresh: 1}[phi] == 1 and {phi: 1}[fresh] == 1
+
+    @pytest.mark.parametrize(
+        "text, other",
+        [
+            ("!" * 5000 + "p", "!" * 5000 + "q"),
+            (" & ".join(["p"] * 1500), " & ".join(["p"] * 1499 + ["q"])),
+        ],
+        ids=["5000 !", "1500 &"],
+    )
+    def test_deep_formulas_compare_without_recursion(self, text, other):
+        # Separate parse calls share no node, so == walks every level.
+        phi, twin, odd = parse(text), parse(text), parse(other)
+        assert phi is not twin
+        assert phi == twin and not phi != twin
+        assert phi != odd and odd != phi
+        assert {phi: 1}[twin] == 1 and twin in {phi} and odd not in {phi}
+        # With the root hashes made to collide, only the walk down to the
+        # bottom atom can tell them apart.
+        Formula._hash.__set__(odd, hash(phi))
+        assert phi != odd and odd != phi
 
     def test_atoms_of(self):
         assert atoms_of(IntImp(ExtAnd(P, Q), IntNeg(R))) == {"p", "q", "r"}

@@ -18,6 +18,7 @@ from lad.formulas import (
     IntImp,
     IntNeg,
     IntOr,
+    LayerError,
     all_paths,
     subformula_at,
     substitute,
@@ -143,6 +144,53 @@ class TestParsing:
         assert doc.line(3).formula is doc.line(5).formula is doc.line(6).formula
         assert doc.line(3).formula == parse("p \\/ q")
         assert check(doc).ok
+
+    @pytest.mark.parametrize("name", ["em.prf", "gen_excluded_imp.prf", "gen_negated_clash_imp.prf"])
+    def test_equal_subformulas_on_different_lines_are_one_object(self, name):
+        texts = {**corpus.ACCEPTED_PROOFS, **corpus.generated_accepted()}
+        doc = parse_proof(texts[name])
+        first = {}
+        under = {}  # compound node id -> ids of the distinct line formulas holding it
+        for line in doc.lines:
+            stack = [line.formula]
+            while stack:
+                node = stack.pop()
+                assert first.setdefault(node, node) is node
+                if node.children():
+                    under.setdefault(id(node), set()).add(id(line.formula))
+                    stack.extend(node.children())
+        # Lines of different text share compound subformulas, which the
+        # per-text memo alone would not give.
+        assert max(map(len, under.values())) > 1
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("o p & ; iand 1, 3",
+             "line 5: bad formula: unexpected 'end of input' at position 4 "
+             "(expected atom, _|_, (, ~, !, <>)"),
+            ("o !(p & q) $ ; nn2 4", "line 5: bad formula: unexpected character '$' at position 9"),
+        ],
+    )
+    def test_bad_formula_after_good_lines(self, bad, message):
+        good = "p & q ; premise\n!p -> q ; premise\no p ; hyp\no p & q ; iand 3, 1\n"
+        with pytest.raises(ProofParseError) as info:
+            parse_proof(good + bad + "\n")
+        assert str(info.value) == message and info.value.source_line == 5
+
+    @pytest.mark.parametrize(
+        "bad, message, position",
+        [
+            ("o !p /\\ q ; nn2 2", "operand of extensional '/\\\\' is not an L-formula", 3),
+            ("o p (+) !q ; nn2 2", "operand of (+) is not an L-formula", 2),
+        ],
+    )
+    def test_layer_clash_after_good_lines(self, bad, message, position):
+        # parse_proof passes the parser's LayerError through unchanged.
+        good = "p & q ; premise\n!p -> q ; premise\no p ; hyp\no p & q ; iand 3, 1\n"
+        with pytest.raises(LayerError) as info:
+            parse_proof(good + bad + "\n")
+        assert str(info.value) == message and info.value.position == position
 
     def test_repeated_bad_formula_reports_its_first_line(self):
         with pytest.raises(ProofParseError) as info:

@@ -213,6 +213,97 @@ class TestAgainstRecursiveDescent:
         assert outcome(parse, text) == outcome(recursive_parser.parse, text)
 
 
+def nodes_of(*formulas):
+    """Every node occurrence under the given formulas."""
+    stack = list(formulas)
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children())
+
+
+def assert_shared(*formulas):
+    """Equal subformulas anywhere under formulas are one object."""
+    first = {}
+    for node in nodes_of(*formulas):
+        assert first.setdefault(node, node) is node, node
+
+
+class TestNodeTable:
+    """Each distinct subformula of a parse is built once (syntax docstring)."""
+
+    def test_equal_subformulas_are_one_object(self):
+        phi = parse("(p & q -> r) | !(p & q -> r) & <>(p & q) & !((p & q) -> _|_)")
+        assert_shared(phi)
+        left, right = phi.left, phi.right
+        assert right.left.operand is left
+        assert right.right.left is right.right.right  # <>x is !(x -> _|_)
+        assert right.right.left.operand.left is left.left
+
+    def test_plus_expansion_shares_with_what_it_spells(self):
+        phi = parse("(p (+) ~q) & (p \\/ ~q) & <>~q & <>p")
+        assert_shared(phi)
+        plus, rest = phi.left, phi.right
+        assert plus.left is rest.left
+        assert plus.right.left is rest.right.right
+        assert plus.right.right is rest.right.left
+
+    def test_calls_without_a_table_share_nothing(self):
+        text = "<>(p (+) q) -> !(r & ~s) | (r & ~s)"
+        phi, twin = parse(text), parse(text)
+        assert phi == twin
+        assert not {id(n) for n in nodes_of(phi)} & {id(n) for n in nodes_of(twin) if n is not FALSUM}
+
+    def test_calls_with_one_table_share(self):
+        nodes = {}
+        phi = parse("!(p & q) -> r", nodes)
+        psi = parse("(p & q) | !(p & q)", nodes)
+        assert psi.left is phi.left.operand and psi.right is phi.left
+        assert_shared(phi, psi)
+        assert parse("p", nodes) is phi.left.operand.left
+
+    @pytest.mark.parametrize("text", ["!p /\\ q", "p (+) !q", "~(p -> q)"])
+    def test_layer_error_adds_no_entry(self, text):
+        nodes = {}
+        parse("p & q", nodes)
+        with pytest.raises(LayerError) as first:
+            parse(text, nodes)
+        # Only the operands built before the error are new entries; the
+        # node that failed is not one, so a second try fails the same way.
+        assert not any(isinstance(n, (ExtAnd, ExtOr, ExtNeg)) for n in nodes.values())
+        with pytest.raises(LayerError) as again:
+            parse(text, nodes)
+        assert str(again.value) == str(first.value)
+        assert again.value.position == first.value.position
+
+    @given(
+        st.lists(
+            st.one_of(
+                star_formulas(max_leaves=6).map(format_formula),
+                st.lists(st.sampled_from(SOUP), max_size=14).map("".join),
+            ),
+            max_size=4,
+        ),
+        st.one_of(
+            star_formulas(max_leaves=8).map(format_formula),
+            st.lists(st.sampled_from(SOUP), max_size=14).map("".join),
+        ),
+    )
+    @settings(max_examples=300)
+    def test_prefilled_table_against_recursive_descent(self, earlier, text):
+        # The table may hold entries from earlier good and bad texts.
+        nodes = {}
+        for other in earlier:
+            try:
+                parse(other, nodes)
+            except (ParseError, LayerError):
+                pass
+        result = outcome(lambda t: parse(t, nodes), text)
+        assert result == outcome(recursive_parser.parse, text)
+        if not isinstance(result, tuple):
+            assert_shared(result, *nodes.values())
+
+
 class TestPrinting:
     def test_minimal_parens(self):
         assert format_formula(parse("(p /\\ q) \\/ r")) == "p /\\ q \\/ r"
