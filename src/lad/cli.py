@@ -22,7 +22,6 @@ from .contexts import (
 )
 from .formulas import Formula, LayerError
 from .proofs import ProofParseError, check as check_proof, parse_proof, verify_sound
-from .records import Record, _set
 from .semantics import (
     AtomBoundExceeded,
     ContextTooWide,
@@ -40,18 +39,6 @@ from .syntax import ParseError, format_formula, parse
 from .transforms import mu_c, nnf, sigma_w, weak_negate, xi_x
 
 ATOM_BOUND_ENV = "LAD_ATOM_BOUND"
-
-
-class CliConfig(Record):
-    __slots__ = __match_args__ = ("variant", "atom_bound", "json")
-
-    def __init__(self, variant: DeniabilityVariant, atom_bound: int, json: bool):
-        _set(self, "variant", variant)
-        _set(self, "atom_bound", atom_bound)
-        _set(self, "json", json)
-
-    def _fields(self):
-        return (self.variant, self.atom_bound, self.json)
 
 
 def _env_bound() -> int:
@@ -183,12 +170,9 @@ def main(argv: list[str] | None = None) -> int:
         "check": _cmd_check,
     }[args.command]
     try:
-        cfg = CliConfig(
-            variant=DeniabilityVariant(args.variant),
-            atom_bound=args.atom_bound if args.atom_bound is not None else _env_bound(),
-            json=args.json,
-        )
-        return handler(args, cfg)
+        if args.atom_bound is None:
+            args.atom_bound = _env_bound()
+        return handler(args)
     except (
         ParseError,
         LayerError,
@@ -216,31 +200,31 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _emit(cfg: CliConfig, payload: dict, text: str) -> None:
-    if cfg.json:
+def _emit(args, payload: dict, text: str) -> None:
+    if args.json:
         _print_json(payload)
     else:
         print(text)
 
 
-def _cmd_fmt(args, cfg: CliConfig) -> int:
+def _cmd_fmt(args) -> int:
     phi = parse(args.formula)
     out = format_formula(phi, mode="full" if args.plain else "macro")
-    _emit(cfg, {"formula": out}, out)
+    _emit(args, {"formula": out}, out)
     return 0
 
 
-def _cmd_eval(args, cfg: CliConfig) -> int:
+def _cmd_eval(args) -> int:
     ctx = parse_context(_read_text(args.context))
     results = []
     lines = []
     for text in args.formulas:
         phi = parse(text)
-        a, d = evaluate(ctx, phi, cfg.variant)
+        a, d = evaluate(ctx, phi, args.variant)
         shown = format_formula(phi)
         results.append({"formula": shown, "asserted": a, "denied": d})
         lines.append(f"{shown}: asserted={str(a).lower()} denied={str(d).lower()}")
-    _emit(cfg, {"context": _context_json(ctx), "results": results}, "\n".join(lines))
+    _emit(args, {"context": _context_json(ctx), "results": results}, "\n".join(lines))
     return 0
 
 
@@ -249,51 +233,51 @@ def _split_sequent(texts: list[str]) -> tuple[list[Formula], Formula]:
     return formulas[:-1], formulas[-1]
 
 
-def _cmd_entail(args, cfg: CliConfig) -> int:
+def _cmd_entail(args) -> int:
     premises, conclusion = _split_sequent(args.formulas)
-    cm = countermodel(premises, conclusion, cfg.variant, cfg.atom_bound)
+    cm = countermodel(premises, conclusion, args.variant, args.atom_bound)
     if cm is None:
-        _emit(cfg, {"valid": True, "countermodel": None}, "valid")
+        _emit(args, {"valid": True, "countermodel": None}, "valid")
         return 0
     worlds = " ".join(w.bits() for w in cm.worlds())
     _emit(
-        cfg,
+        args,
         {"valid": False, "countermodel": _context_json(cm)},
         f"invalid (countermodel over {' '.join(cm.atoms)}: {worlds})",
     )
     return 1
 
 
-def _cmd_countermodel(args, cfg: CliConfig) -> int:
+def _cmd_countermodel(args) -> int:
     premises, conclusion = _split_sequent(args.formulas)
-    cm = countermodel(premises, conclusion, cfg.variant, cfg.atom_bound)
+    cm = countermodel(premises, conclusion, args.variant, args.atom_bound)
     if cm is None:
-        _emit(cfg, {"found": False, "context": None}, "none")
+        _emit(args, {"found": False, "context": None}, "none")
         return 1
-    if cfg.json:
+    if args.json:
         _print_json({"found": True, "context": _context_json(cm)})
     else:
         sys.stdout.write(format_context(cm))
     return 0
 
 
-def _cmd_equiv(args, cfg: CliConfig) -> int:
+def _cmd_equiv(args) -> int:
     left, right = parse(args.left), parse(args.right)
     fn = strongly_equivalent if args.strong else equivalent
-    same = fn(left, right, cfg.variant)
+    same = fn(left, right, args.variant)
     _emit(
-        cfg,
+        args,
         {"equivalent": same, "strong": args.strong},
         "equivalent" if same else "not equivalent",
     )
     return 0 if same else 1
 
 
-def _cmd_persistent(args, cfg: CliConfig) -> int:
+def _cmd_persistent(args) -> int:
     phi = parse(args.formula)
-    witness = persistence_witness(phi, cfg.variant)
+    witness = persistence_witness(phi, args.variant)
     if witness is None:
-        _emit(cfg, {"persistent": True, "context": None, "subcontext": None}, "persistent")
+        _emit(args, {"persistent": True, "context": None, "subcontext": None}, "persistent")
         return 0
     big, small = witness
     text = (
@@ -303,7 +287,7 @@ def _cmd_persistent(args, cfg: CliConfig) -> int:
         + format_context(small)
     ).rstrip("\n")
     _emit(
-        cfg,
+        args,
         {
             "persistent": False,
             "context": _context_json(big),
@@ -314,19 +298,19 @@ def _cmd_persistent(args, cfg: CliConfig) -> int:
     return 1
 
 
-def _cmd_weakneg(args, cfg: CliConfig) -> int:
+def _cmd_weakneg(args) -> int:
     out = format_formula(weak_negate(parse(args.formula)))
-    _emit(cfg, {"formula": out}, out)
+    _emit(args, {"formula": out}, out)
     return 0
 
 
-def _cmd_nnf(args, cfg: CliConfig) -> int:
-    out = format_formula(nnf(parse(args.formula), cfg.variant))
-    _emit(cfg, {"formula": out}, out)
+def _cmd_nnf(args) -> int:
+    out = format_formula(nnf(parse(args.formula), args.variant))
+    _emit(args, {"formula": out}, out)
     return 0
 
 
-def _cmd_charform(args, cfg: CliConfig) -> int:
+def _cmd_charform(args) -> int:
     ctxs = [parse_context(_read_text(path)) for path in args.contexts]
     if args.sigma:
         if len(ctxs) != 1 or len(ctxs[0]) != 1:
@@ -337,16 +321,16 @@ def _cmd_charform(args, cfg: CliConfig) -> int:
     else:
         phi = xi_x(ctxs)
     out = format_formula(phi)
-    _emit(cfg, {"formula": out}, out)
+    _emit(args, {"formula": out}, out)
     return 0
 
 
-def _cmd_check(args, cfg: CliConfig) -> int:
+def _cmd_check(args) -> int:
     doc = parse_proof(_read_text(args.proof))
     verdict = check_proof(doc)
     sound = None
     if verdict.ok and args.sound:
-        sound = verify_sound(doc, cfg.variant, cfg.atom_bound)
+        sound = verify_sound(doc, args.variant, args.atom_bound)
     payload = {
         "ok": verdict.ok,
         "lines": len(doc.lines),
@@ -360,9 +344,9 @@ def _cmd_check(args, cfg: CliConfig) -> int:
         text = f"ok ({len(doc.lines)} lines)"
         if sound is not None:
             text += " sound" if sound else " UNSOUND"
-        _emit(cfg, payload, text)
+        _emit(args, payload, text)
         return 0 if sound in (None, True) else 1
-    _emit(cfg, payload, "\n".join(str(v) for v in verdict.violations))
+    _emit(args, payload, "\n".join(str(v) for v in verdict.violations))
     return 1
 
 

@@ -67,9 +67,6 @@ class World(Record):
         _set(self, "atoms", atoms)
         _set(self, "values", values)
 
-    def _fields(self):
-        return (self.atoms, self.values)
-
     @classmethod
     def from_mapping(cls, assignment: Mapping[str, bool]) -> "World":
         names = tuple(sorted(assignment))
@@ -119,9 +116,6 @@ class Context(Record):
             raise ValueError("context members out of range or empty")
         _set(self, "atoms", atoms)
         _set(self, "members", members)
-
-    def _fields(self):
-        return (self.atoms, self.members)
 
     @classmethod
     def from_worlds(cls, worlds: Sequence[World]) -> "Context":

@@ -56,9 +56,6 @@ class Formula(Record):
     def children(self) -> tuple["Formula", ...]:
         return ()
 
-    def _fields(self) -> tuple:
-        return self.children()
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -118,9 +115,6 @@ class Atom(Formula):
             raise ValueError(f"invalid atom name: {name!r}")
         _set(self, "name", name)
         _set(self, "_hash", hash((Atom, name)))
-
-    def _fields(self):
-        return (self.name,)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -193,7 +187,6 @@ class IntImp(_Binary):
 
 
 _L_ROOTS = (Atom, Falsum, ExtNeg, ExtAnd, ExtOr, ExtImp)
-_INT_BINARY = (IntAnd, IntOr, IntImp)
 _BINARY_TYPES = frozenset((ExtAnd, ExtOr, ExtImp, IntAnd, IntOr, IntImp))
 _UNARY_TYPES = frozenset((ExtNeg, IntNeg))
 

@@ -40,6 +40,7 @@ from .formulas import (
     IntImp,
     IntNeg,
     IntOr,
+    LayerError,
     diamond,
     is_l_formula,
     is_safe,
@@ -140,9 +141,6 @@ class Citation(Record):
         _set(self, "start", start)
         _set(self, "end", end)
 
-    def _fields(self):
-        return (self.start, self.end)
-
     @property
     def is_span(self) -> bool:
         return self.end is not None
@@ -174,12 +172,6 @@ class ProofLine(Record):
         _set(self, "chain", chain)
         _set(self, "source_line", source_line)
 
-    def _fields(self):
-        return (
-            self.number, self.depth, self.formula, self.rule,
-            self.citations, self.chain, self.source_line,
-        )
-
 
 class Subproof(Record):
     __slots__ = __match_args__ = ("ident", "kind", "start", "hyp", "parent_chain", "end")
@@ -205,9 +197,6 @@ class Subproof(Record):
         self.parent_chain = parent_chain
         self.end = end
 
-    def _fields(self):
-        return (self.ident, self.kind, self.start, self.hyp, self.parent_chain, self.end)
-
     @property
     def depth(self) -> int:
         return len(self.parent_chain) + 1
@@ -221,9 +210,6 @@ class Violation(Record):
         _set(self, "code", code)
         _set(self, "detail", detail)
 
-    def _fields(self):
-        return (self.line, self.code, self.detail)
-
     def __str__(self) -> str:
         return f"line {self.line}: {self.code}: {self.detail}"
 
@@ -235,9 +221,6 @@ class Verdict(Record):
         _set(self, "ok", ok)
         _set(self, "violations", violations)
 
-    def _fields(self):
-        return (self.ok, self.violations)
-
 
 class ProofDoc(Record):
     __slots__ = __match_args__ = ("lines", "subproofs")
@@ -245,9 +228,6 @@ class ProofDoc(Record):
     def __init__(self, lines: tuple[ProofLine, ...], subproofs: tuple[Subproof, ...]):
         _set(self, "lines", lines)
         _set(self, "subproofs", subproofs)
-
-    def _fields(self):
-        return (self.lines, self.subproofs)
 
     def line(self, number: int) -> ProofLine:
         return self.lines[number - 1]
@@ -314,7 +294,7 @@ def parse_proof(text: str) -> ProofDoc:
         if formula is None:
             try:
                 formula = parse(formula_text, nodes)
-            except ParseError as exc:
+            except (ParseError, LayerError) as exc:
                 raise ProofParseError(f"bad formula: {exc}", source_line) from exc
             parsed[formula_text] = formula
         fields = rule_part.strip().split(None, 1)

@@ -1,9 +1,9 @@
 """The base of the package's record classes.
 
-A record is a plain slotted class.  It names its fields in
-``__match_args__`` (which is also its ``__slots__``), sets them once in
-its own ``__init__`` through ``object.__setattr__`` and returns their
-values, in constructor order, from ``_fields``.  ``Record`` adds what
+A record is a plain slotted class.  It names its fields, in constructor
+order, in ``__match_args__`` (which is also its ``__slots__``) and sets
+them once in its own ``__init__`` through ``object.__setattr__``;
+``_fields`` returns their values in that order.  ``Record`` adds what
 a frozen dataclass would: a repr naming each field, ``==`` and hash
 over the fields as one tuple, pickling and copying through the
 constructor, and ``AttributeError`` on assignment or deletion.
@@ -22,8 +22,8 @@ class Record:
     __match_args__: tuple[str, ...] = ()
 
     def _fields(self) -> tuple:
-        """The constructor arguments, in order."""
-        return ()
+        """The constructor arguments, in order: the fields __match_args__ names."""
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -12,9 +12,13 @@ viable up to 4 atoms (a 5-atom table is 2**32 bits).  Given a sorted
 list of worlds it spans only the contexts made of those worlds,
 with bit i of a position standing for the i-th listed world; that is
 exact, because whether a context asserts or denies a formula depends
-only on the context and its subcontexts.  The per-width masks its
-subset closure uses are constants, built once per world count up to 16
-worlds and shared by every instance; wider tables build their own.
+only on the context and its subcontexts.  The subset closure reads one
+tuple of clear-bit masks shared by every table, built for the widest
+table so far and never shrunk: a narrower table's masks are the low
+bits of a wider one's, and & costs only the smaller operand.  So the
+widest masks live for the life of the process: 24 masks of 2**24 bits
+(about 51 MiB as Python ints) once a 24-world table has been built,
+about 137 KiB after whole-space tables only.
 Extensional formulas are settled by their truth masks over the table's
 worlds (_truth_mask, which truth() runs over one world).
 
@@ -42,7 +46,6 @@ found nothing raises WorldLimitExceeded.
 """
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Mapping, Sequence
 
 from .contexts import Context, DeniabilityVariant, World
@@ -71,9 +74,6 @@ TABLE_ATOM_LIMIT = 4
 # per table.
 TABLE_WORLD_LIMIT = 24
 SEARCH_WORLD_STEP = 4
-# Masks up to the whole-space width are kept for the process's life;
-# wider ones (2 MB each at 24 worlds) live only as long as their table.
-_SHARED_MASK_WORLDS = 1 << TABLE_ATOM_LIMIT
 
 
 class UnknownAtomError(Exception):
@@ -83,9 +83,10 @@ class UnknownAtomError(Exception):
 class AtomBoundExceeded(Exception):
     """A query needs more atoms than the configured bound allows."""
 
-    def __init__(self, n_atoms: int, bound: int):
+    def __init__(self, n_atoms: int, bound: int, message: str | None = None):
         super().__init__(
-            f"query spans {n_atoms} atoms, bound is {bound}; "
+            message
+            or f"query spans {n_atoms} atoms, bound is {bound}; "
             "raise the bound to force the (exponential) search"
         )
         self.n_atoms = n_atoms
@@ -174,15 +175,9 @@ def _index_bit_mask(width: int, k: int) -> int:
     return mask
 
 
-def _clear_bit_masks(n_worlds: int) -> tuple[int, ...]:
-    """For each world bit b, the context positions whose bit b is clear."""
-    universe = (1 << (1 << n_worlds)) - 1
-    return tuple(universe ^ _index_bit_mask(n_worlds, b) for b in range(n_worlds))
-
-
-# Constant per world count, so every ContextTables over that many worlds
-# shares one tuple; only widths up to _SHARED_MASK_WORLDS are cached.
-_shared_clear_bit_masks = functools.cache(_clear_bit_masks)
+# For each world bit b, the context positions whose bit b is clear, at
+# the width of the widest table built so far (see the module docstring).
+_clear_bit: tuple[int, ...] = ()
 
 
 class ContextTables:
@@ -208,7 +203,12 @@ class ContextTables:
         self.n = len(self.atoms)
         if worlds is None:
             if self.n > TABLE_ATOM_LIMIT:
-                raise AtomBoundExceeded(self.n, TABLE_ATOM_LIMIT)
+                raise AtomBoundExceeded(
+                    self.n,
+                    TABLE_ATOM_LIMIT,
+                    f"query spans {self.n} atoms; tables over every context stop at "
+                    f"{TABLE_ATOM_LIMIT} atoms, whatever the atom bound",
+                )
             worlds = range(1 << self.n)
         self.worlds = tuple(worlds)
         if not (
@@ -229,17 +229,15 @@ class ContextTables:
         self._tables: tuple[dict[Formula, int], dict[Formula, int]] = ({}, {})
 
     def _set_width(self, n_worlds: int) -> None:
+        global _clear_bit
         self.n_worlds = n_worlds
         self.full_worlds = (1 << n_worlds) - 1
-        # Bit sets over table positions (contexts), used by the
-        # subset-closure transform: position masks whose world-bit b
-        # is clear.
         self.universe = (1 << (1 << n_worlds)) - 1
         self.nonempty = self.universe & ~1
-        if n_worlds <= _SHARED_MASK_WORLDS:
-            self._clear_bit = _shared_clear_bit_masks(n_worlds)
-        else:
-            self._clear_bit = _clear_bit_masks(n_worlds)
+        if n_worlds > len(_clear_bit):
+            _clear_bit = tuple(
+                self.universe ^ _index_bit_mask(n_worlds, b) for b in range(n_worlds)
+            )
 
     def members(self, position: int) -> int:
         """Member bit set, over all worlds, of the context at a position."""
@@ -257,25 +255,20 @@ class ContextTables:
             t = self._truths[alpha] = _truth_mask(alpha, self._atom_masks, self.full_worlds)
         return t
 
-    def subsets_table(self, world_mask: int) -> int:
-        """Indicator of all (possibly empty) subsets of world_mask."""
-        table = 1
-        rest = world_mask
-        while rest:
-            low = rest & -rest
-            table |= table << (1 << (low.bit_length() - 1))
-            rest ^= low
-        return table
-
     def _leaf(self, t: int) -> int:
         """Assert table of an extensional formula true at the table worlds
         t: every nonempty subset of t.  Its deny table is _leaf of the rest."""
-        return self.subsets_table(t) & ~1
+        table = 1
+        while t:
+            low = t & -t
+            table |= table << (1 << (low.bit_length() - 1))
+            t ^= low
+        return table & ~1
 
     def has_subset(self, table: int) -> int:
         """Close a table upward: set bit m when some s <= m is set."""
         for b in range(self.n_worlds):
-            table |= (table & self._clear_bit[b]) << (1 << b)
+            table |= (table & _clear_bit[b]) << (1 << b)
         return table
 
     def tables(self, phi: Formula) -> tuple[int, int]:
@@ -284,9 +277,6 @@ class ContextTables:
 
     def assert_table(self, phi: Formula) -> int:
         return self.table(phi, False)
-
-    def deny_table(self, phi: Formula) -> int:
-        return self.table(phi, True)
 
     def table(self, phi: Formula, deny: bool) -> int:
         """The deny table of phi when deny is set, else its assert table.
@@ -499,19 +489,15 @@ def entails(
     return countermodel(premises, conclusion, variant, atom_bound) is None
 
 
-def _pair_tables(phi: Formula, psi: Formula, variant: DeniabilityVariant | str) -> ContextTables:
-    return ContextTables(sequent_atoms((phi,), psi), variant)
-
-
 def equivalent(phi: Formula, psi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER) -> bool:
     """Same assertibility at every context over the joint atoms."""
-    tab = _pair_tables(phi, psi, variant)
+    tab = ContextTables(sequent_atoms((phi,), psi), variant)
     return tab.assert_table(phi) == tab.assert_table(psi)
 
 
 def strongly_equivalent(phi: Formula, psi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER) -> bool:
     """Same assertibility and same deniability at every context."""
-    tab = _pair_tables(phi, psi, variant)
+    tab = ContextTables(sequent_atoms((phi,), psi), variant)
     return tab.tables(phi) == tab.tables(psi)
 
 

@@ -302,16 +302,8 @@ def _layer_error(text: str, op: str, k: int, offending: Formula):
     raise LayerError(message, position=_position(text, k), offending=offending) from None
 
 
-_PREC_IMP, _PREC_DISJ, _PREC_CONJ, _PREC_PREFIX = 1, 2, 3, 4
-
-_BIN = {
-    ExtImp: ("=>", _PREC_IMP),
-    IntImp: ("->", _PREC_IMP),
-    ExtOr: ("\\/", _PREC_DISJ),
-    IntOr: ("|", _PREC_DISJ),
-    ExtAnd: ("/\\", _PREC_CONJ),
-    IntAnd: ("&", _PREC_CONJ),
-}
+# The printer's symbol and binding level for each binary node class.
+_BIN = {_NODE[tok]: (tok, level) for tok, level in _BINARY.items() if tok in _NODE}
 
 
 def format_formula(phi: Formula, mode: str = "macro") -> str:
@@ -333,15 +325,15 @@ def _fmt(phi: Formula, min_prec: int, macro: bool) -> str:
     if macro:
         inner = match_diamond(phi)
         if inner is not None:
-            return "<>" + _fmt(inner, _PREC_PREFIX, macro)
+            return "<>" + _fmt(inner, _PREFIX, macro)
         ops = match_plus(phi)
         if ops is not None:
-            body = " (+) ".join(_fmt(op, _PREC_DISJ + 1, macro) for op in ops)
-            return f"({body})" if _PREC_DISJ < min_prec else body
+            body = " (+) ".join(_fmt(op, _DISJ + 1, macro) for op in ops)
+            return f"({body})" if _DISJ < min_prec else body
     if isinstance(phi, ExtNeg):
-        return "~" + _fmt(phi.operand, _PREC_PREFIX, macro)
+        return "~" + _fmt(phi.operand, _PREFIX, macro)
     if isinstance(phi, IntNeg):
-        return "!" + _fmt(phi.operand, _PREC_PREFIX, macro)
+        return "!" + _fmt(phi.operand, _PREFIX, macro)
     sym, prec = _BIN[type(phi)]
     body = f"{_fmt(phi.left, prec + 1, macro)} {sym} {_fmt(phi.right, prec, macro)}"
     return f"({body})" if prec < min_prec else body

@@ -72,38 +72,28 @@ def nnf(phi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAU
     chosen variant (mere equivalence; strong equivalence can fail
     under gauker because the rewrite is polarity-asymmetric).
     """
-    variant = DeniabilityVariant.coerce(variant)
-    return _nnf_pos(phi, variant)
+    return _nnf(phi, False, DeniabilityVariant.coerce(variant))
 
 
-def _nnf_pos(phi: Formula, variant: DeniabilityVariant) -> Formula:
+def _nnf(phi: Formula, deny: bool, variant: DeniabilityVariant) -> Formula:
+    """Normal form of phi, or of !phi when deny is set.  The polarity
+    rules are those of semantics.ContextTables._build."""
     if is_l_formula(phi):
-        return phi
+        return ExtNeg(phi) if deny else phi
     if isinstance(phi, IntNeg):
-        return _nnf_neg(phi.operand, variant)
-    if isinstance(phi, IntAnd):
-        return IntAnd(_nnf_pos(phi.left, variant), _nnf_pos(phi.right, variant))
-    if isinstance(phi, IntOr):
-        return IntOr(_nnf_pos(phi.left, variant), _nnf_pos(phi.right, variant))
+        return _nnf(phi.operand, not deny, variant)
+    if isinstance(phi, (IntAnd, IntOr)):
+        left = _nnf(phi.left, deny, variant)
+        right = _nnf(phi.right, deny, variant)
+        # Asserting a conjunction or denying a disjunction takes both
+        # operands; the other two judgments take either.
+        return IntAnd(left, right) if isinstance(phi, IntAnd) != deny else IntOr(left, right)
     if isinstance(phi, IntImp):
-        return IntImp(_nnf_pos(phi.left, variant), _nnf_pos(phi.right, variant))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _nnf_neg(phi: Formula, variant: DeniabilityVariant) -> Formula:
-    """Normal form of !phi."""
-    if is_l_formula(phi):
-        return ExtNeg(phi)
-    if isinstance(phi, IntNeg):
-        return _nnf_pos(phi.operand, variant)
-    if isinstance(phi, IntAnd):
-        return IntOr(_nnf_neg(phi.left, variant), _nnf_neg(phi.right, variant))
-    if isinstance(phi, IntOr):
-        return IntAnd(_nnf_neg(phi.left, variant), _nnf_neg(phi.right, variant))
-    if isinstance(phi, IntImp):
-        left = _nnf_pos(phi.left, variant)
-        right = _nnf_neg(phi.right, variant)
-        if variant is DeniabilityVariant.CONNEXIVE:
+        # The antecedent stays positive on either side; the consequent
+        # takes the side asked for.
+        left = _nnf(phi.left, False, variant)
+        right = _nnf(phi.right, deny, variant)
+        if not deny or variant is DeniabilityVariant.CONNEXIVE:
             return IntImp(left, right)
         if variant is DeniabilityVariant.NELSON:
             return IntAnd(left, right)

@@ -204,6 +204,21 @@ class TestEquivPersistent:
         assert payload["context"]["worlds"] == ["00", "10"]
         assert payload["subcontext"]["worlds"] == ["00"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equiv", "a & b & c & d & e", "e & d & c & b & a"],
+            ["persistent", "a & b & c & d & e"],
+        ],
+        ids=["equiv", "persistent"],
+    )
+    def test_five_atoms_name_the_table_limit_whatever_the_bound(self, argv):
+        child = run_lad(["--atom-bound", "9", *argv])
+        assert child.returncode == 2
+        lines = child.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "stop at 4 atoms" in lines[0] and "raise the bound" not in lines[0]
+
 
 class TestTransformCommands:
     def test_weakneg(self, capsys):

@@ -186,11 +186,16 @@ class TestParsing:
         ],
     )
     def test_layer_clash_after_good_lines(self, bad, message, position):
-        # parse_proof passes the parser's LayerError through unchanged.
+        # parse_proof names the line and keeps the parser's LayerError
+        # as the cause, position and all.
         good = "p & q ; premise\n!p -> q ; premise\no p ; hyp\no p & q ; iand 3, 1\n"
-        with pytest.raises(LayerError) as info:
+        with pytest.raises(ProofParseError) as info:
             parse_proof(good + bad + "\n")
-        assert str(info.value) == message and info.value.position == position
+        assert str(info.value) == f"line 5: bad formula: {message}"
+        assert info.value.source_line == 5
+        cause = info.value.__cause__
+        assert isinstance(cause, LayerError)
+        assert str(cause) == message and cause.position == position
 
     def test_repeated_bad_formula_reports_its_first_line(self):
         with pytest.raises(ProofParseError) as info:

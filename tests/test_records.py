@@ -5,8 +5,7 @@ import pickle
 
 import pytest
 
-from lad.cli import CliConfig
-from lad.contexts import Context, DeniabilityVariant, World
+from lad.contexts import Context, World
 from lad.formulas import (
     Atom,
     ExtAnd,
@@ -65,10 +64,6 @@ CASES = {
         f"Verdict(ok=False, violations=({VIOLATION},))",
     ),
     "ProofDoc": (lambda: ProofDoc((_line(),), ()), f"ProofDoc(lines=({LINE},), subproofs=())"),
-    "CliConfig": (
-        lambda: CliConfig(DeniabilityVariant.NELSON, 4, True),
-        "CliConfig(variant=<DeniabilityVariant.NELSON: 'nelson'>, atom_bound=4, json=True)",
-    ),
 }
 FROZEN = [name for name in CASES if name != "Subproof"]
 

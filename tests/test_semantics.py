@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import stream_search
 from point_evaluator import PointEvaluator
 from conftest import all_contexts, contexts_over, enumerate_l, enumerate_star, star_formulas
+from lad import semantics
 from lad.contexts import Context, DeniabilityVariant, EmptyInputError, World, world_from_index
 from lad.formulas import (
     Atom,
@@ -464,12 +466,31 @@ class TestWorldTables:
         with pytest.raises(ValueError):
             ContextTables(atoms, worlds=worlds)
 
-    def test_wide_masks_are_not_shared(self):
+    def test_every_width_closes_with_the_shared_masks(self, monkeypatch):
+        # Widths built in random order from no masks: the one tuple
+        # grows to the widest table so far and never shrinks.  Then each
+        # table, reading the low bits of the widest masks, closes as its
+        # own width's masks would.
+        monkeypatch.setattr(semantics, "_clear_bit", ())
         atoms = ("p", "q", "r", "s", "t")
-        a = ContextTables(atoms, worlds=range(17))
-        b = ContextTables(atoms, worlds=range(17))
-        assert a._clear_bit == b._clear_bit and a._clear_bit is not b._clear_bit
-        assert ContextTables(atoms, worlds=range(16))._clear_bit is ContextTables(atoms[:4])._clear_bit
+        rng = random.Random(21)
+        widths = list(range(1, 18))
+        rng.shuffle(widths)
+        tables = []
+        for width in widths:
+            before = semantics._clear_bit
+            tables.append(ContextTables(atoms, worlds=range(width)))
+            assert len(semantics._clear_bit) == max(width, len(before))
+            if width <= len(before):
+                assert semantics._clear_bit is before
+        for tab in tables:
+            width = tab.n_worlds
+            table = rng.getrandbits(1 << width)
+            want = table
+            for b in range(width):
+                clear = tab.universe ^ _index_bit_mask(width, b)
+                want |= (want & clear) << (1 << b)
+            assert tab.has_subset(table) == want
 
 
 class TestEquivalence:
@@ -540,8 +561,10 @@ class TestMasks:
     def test_tables_share_the_per_width_masks(self):
         a = ContextTables(("p", "q", "r", "s"))
         b = ContextTables(("a", "b", "c", "d"), "connexive")
-        assert a._clear_bit is b._clear_bit
-        assert a._clear_bit is not ContextTables(("p", "q", "r"))._clear_bit
+        assert not hasattr(a, "_clear_bit") and not hasattr(b, "_clear_bit")
+        masks = semantics._clear_bit
+        ContextTables(("p", "q", "r"))
+        assert semantics._clear_bit is masks and len(masks) >= 16
 
 
 class TestBounds:

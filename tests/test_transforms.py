@@ -98,6 +98,30 @@ class TestNnf:
             format_formula(nnf(worked, "connexive")) == "~p | ~~s -> ~(p \\/ ~q)"
         )
 
+    # One row per connective, asked positively and under a !: the
+    # normal form under gauker, nelson and connexive.
+    @pytest.mark.parametrize(
+        "text, pinned",
+        [
+            ("p /\\ q", ("p /\\ q",) * 3),
+            ("!(p /\\ q)", ("~(p /\\ q)",) * 3),
+            ("!p", ("~p",) * 3),
+            ("!!p", ("p",) * 3),
+            ("p & !q", ("p & ~q",) * 3),
+            ("!(p & !q)", ("~p | q",) * 3),
+            ("p | !q", ("p | ~q",) * 3),
+            ("!(p | !q)", ("~p & q",) * 3),
+            ("!(p -> q) -> r", ("<>(p & ~q) -> r", "p & ~q -> r", "(p -> ~q) -> r")),
+            (
+                "!(!(p -> q) -> r)",
+                ("<>(<>(p & ~q) & ~r)", "(p & ~q) & ~r", "(p -> ~q) -> ~r"),
+            ),
+        ],
+    )
+    def test_pinned_per_connective_and_polarity(self, text, pinned):
+        variants = ("gauker", "nelson", "connexive")
+        assert tuple(format_formula(nnf(parse(text), v)) for v in variants) == pinned
+
     def test_l_negation_becomes_extensional(self):
         assert nnf(IntNeg(P), "gauker") == ExtNeg(P)
         assert nnf(IntNeg(ExtOr(P, Q)), "connexive") == ExtNeg(ExtOr(P, Q))
