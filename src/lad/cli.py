@@ -31,7 +31,6 @@ from .semantics import (
     countermodel,
     equivalent,
     evaluate,
-    is_persistent,
     persistence_witness,
     strongly_equivalent,
 )
@@ -102,42 +101,44 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(common, suppress=True)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, handler, **kwargs):
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add_parser("fmt", help="parse a formula and print it canonically")
+    p = add_parser("fmt", _cmd_fmt, help="parse a formula and print it canonically")
     p.add_argument("formula")
     p.add_argument(
         "--plain", action="store_true", help="spell <> and (+) out instead of sugaring"
     )
 
-    p = add_parser("eval", help="assert/deny status of formulas at a context")
+    p = add_parser("eval", _cmd_eval, help="assert/deny status of formulas at a context")
     p.add_argument("context", help="context file, or - for stdin")
     p.add_argument("formulas", nargs="+", metavar="formula")
 
-    p = add_parser("entail", help="premises |= conclusion over their atoms")
+    p = add_parser("entail", _cmd_entail, help="premises |= conclusion over their atoms")
     p.add_argument("formulas", nargs="+", metavar="formula", help="premises then conclusion")
 
-    p = add_parser("countermodel", help="least context refuting the sequent")
+    p = add_parser("countermodel", _cmd_countermodel, help="least context refuting the sequent")
     p.add_argument("formulas", nargs="+", metavar="formula", help="premises then conclusion")
 
-    p = add_parser("equiv", help="same assertibility everywhere")
+    p = add_parser("equiv", _cmd_equiv, help="same assertibility everywhere")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument(
         "--strong", action="store_true", help="also require the same deniability"
     )
 
-    p = add_parser("persistent", help="does assertion survive subcontexts")
+    p = add_parser("persistent", _cmd_persistent, help="does assertion survive subcontexts")
     p.add_argument("formula")
 
-    p = add_parser("weakneg", help="weak negation of a formula")
+    p = add_parser("weakneg", _cmd_weakneg, help="weak negation of a formula (--variant is ignored)")
     p.add_argument("formula")
 
-    p = add_parser("nnf", help="negation normal form of a formula")
+    p = add_parser("nnf", _cmd_nnf, help="negation normal form of a formula")
     p.add_argument("formula")
 
-    p = add_parser("charform", help="characteristic formula of context file(s)")
+    p = add_parser("charform", _cmd_charform, help="characteristic formula of context file(s)")
     p.add_argument("contexts", nargs="+", metavar="context")
     p.add_argument(
         "--sigma",
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="characteristic L-formula of the single world in a one-world context",
     )
 
-    p = add_parser("check", help="verify a proof file")
+    p = add_parser("check", _cmd_check, help="verify a proof file")
     p.add_argument("proof", help="proof file, or - for stdin")
     p.add_argument(
         "--sound",
@@ -157,22 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {
-        "fmt": _cmd_fmt,
-        "eval": _cmd_eval,
-        "entail": _cmd_entail,
-        "countermodel": _cmd_countermodel,
-        "equiv": _cmd_equiv,
-        "persistent": _cmd_persistent,
-        "weakneg": _cmd_weakneg,
-        "nnf": _cmd_nnf,
-        "charform": _cmd_charform,
-        "check": _cmd_check,
-    }[args.command]
     try:
-        if args.atom_bound is None:
-            args.atom_bound = _env_bound()
-        return handler(args)
+        name, bound = "--atom-bound", args.atom_bound
+        if bound is None:
+            name, bound = f"${ATOM_BOUND_ENV}", _env_bound()
+        if bound < 1:
+            # Every query spans at least one atom, so no query fits.
+            raise ValueError(f"{name} must be at least 1, got {bound}")
+        args.atom_bound = bound
+        return args.handler(args)
     except (
         ParseError,
         LayerError,

@@ -50,6 +50,7 @@ from .formulas import (
     _Unary,
 )
 from .records import Record, _set
+from .semantics import DEFAULT_ATOM_BOUND, entails
 from .syntax import ParseError, parse
 
 ROUND = "round"
@@ -514,11 +515,7 @@ def _check_schema(doc: ProofDoc, line: ProofLine, resolved: list) -> Violation |
 def verify_sound(
     doc: ProofDoc,
     variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER,
-    atom_bound: int | None = None,
+    atom_bound: int = DEFAULT_ATOM_BOUND,
 ) -> bool:
     """Do the premises entail the conclusion semantically?"""
-    from .semantics import DEFAULT_ATOM_BOUND, entails
-
-    if atom_bound is None:
-        atom_bound = DEFAULT_ATOM_BOUND
     return entails(doc.premises(), doc.conclusion(), variant, atom_bound)

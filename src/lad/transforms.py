@@ -25,35 +25,32 @@ from .formulas import (
 def weak_negate(phi: Formula) -> Formula:
     """The weak negation -phi.
 
-    Asserting -phi is equivalent to failing to assert phi: for every
-    context C, C asserts -phi exactly when C does not assert phi.
-    Defined by recursion on phi; the base clauses fire first, so a
-    negated extensional formula is handled as a unit.
+    Under the default gauker denial clause, asserting -phi is
+    equivalent to failing to assert phi: for every context C, C asserts
+    -phi exactly when C does not assert phi.  The law fails under
+    nelson and connexive, already at an atom, because there the <> it
+    builds on degenerates.  The transform itself takes no variant.
     """
+    return _weak(phi, False)
+
+
+def _weak(phi: Formula, deny: bool) -> Formula:
+    """Weak negation of phi, or of !phi when deny is set.  The walk
+    stops at L-formulas, so !alpha gives <>alpha."""
     if is_l_formula(phi):
-        return diamond(IntNeg(phi))
+        return diamond(phi if deny else IntNeg(phi))
     if isinstance(phi, IntNeg):
-        inner = phi.operand
-        if is_l_formula(inner):
-            return diamond(inner)
-        if isinstance(inner, IntNeg):
-            return weak_negate(inner.operand)
-        if isinstance(inner, IntImp):
-            return IntImp(inner.left, weak_negate(IntNeg(inner.right)))
-        if isinstance(inner, IntAnd):
-            return IntAnd(
-                weak_negate(IntNeg(inner.left)), weak_negate(IntNeg(inner.right))
-            )
-        if isinstance(inner, IntOr):
-            return IntOr(
-                weak_negate(IntNeg(inner.left)), weak_negate(IntNeg(inner.right))
-            )
+        return _weak(phi.operand, not deny)
+    if isinstance(phi, (IntAnd, IntOr)):
+        left = _weak(phi.left, deny)
+        right = _weak(phi.right, deny)
+        # Failing a judgment that takes both operands means failing
+        # either, and the other way round.
+        return IntOr(left, right) if isinstance(phi, IntAnd) != deny else IntAnd(left, right)
     if isinstance(phi, IntImp):
-        return diamond(IntAnd(phi.left, weak_negate(phi.right)))
-    if isinstance(phi, IntAnd):
-        return IntOr(weak_negate(phi.left), weak_negate(phi.right))
-    if isinstance(phi, IntOr):
-        return IntAnd(weak_negate(phi.left), weak_negate(phi.right))
+        if deny:
+            return IntImp(phi.left, _weak(phi.right, True))
+        return diamond(IntAnd(phi.left, _weak(phi.right, False)))
     raise TypeError(f"not a formula: {phi!r}")
 
 

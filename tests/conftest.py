@@ -1,4 +1,6 @@
-"""Shared strategies and enumerators for the test suite."""
+"""Shared strategies, enumerators and formula helpers for the test suite."""
+from collections.abc import Iterator, Sequence
+
 from hypothesis import strategies as st
 
 from lad.contexts import Context
@@ -9,6 +11,8 @@ from lad.formulas import (
     ExtNeg,
     ExtOr,
     FALSUM,
+    Falsum,
+    Formula,
     IntAnd,
     IntImp,
     IntNeg,
@@ -17,6 +21,63 @@ from lad.formulas import (
 )
 
 DEFAULT_ATOMS = ("p", "q", "r")
+
+
+class PathError(Exception):
+    """A subformula path does not exist in the target formula."""
+
+
+def e_translate(phi: Formula) -> Formula:
+    """Map every intensional connective to its extensional counterpart."""
+    if isinstance(phi, (Atom, Falsum)):
+        return phi
+    if isinstance(phi, ExtNeg):
+        return ExtNeg(e_translate(phi.operand))
+    if isinstance(phi, IntNeg):
+        return ExtNeg(e_translate(phi.operand))
+    left, right = (e_translate(c) for c in phi.children())
+    if isinstance(phi, (ExtAnd, IntAnd)):
+        return ExtAnd(left, right)
+    if isinstance(phi, (ExtOr, IntOr)):
+        return ExtOr(left, right)
+    return ExtImp(left, right)
+
+
+def subformula_at(phi: Formula, path: Sequence[int]) -> Formula:
+    node = phi
+    for step in path:
+        kids = node.children()
+        if not 0 <= step < len(kids):
+            raise PathError(f"no child {step} at {node!r}")
+        node = kids[step]
+    return node
+
+
+def substitute(chi: Formula, path: Sequence[int], psi: Formula) -> Formula:
+    """Replace the subformula of chi at the given child-index path by psi.
+
+    Raises PathError for a dangling path and LayerError when the
+    replacement would put a non-L formula under an extensional node.
+    """
+    path = tuple(path)
+    if not path:
+        return psi
+    step, rest = path[0], path[1:]
+    kids = chi.children()
+    if not 0 <= step < len(kids):
+        raise PathError(f"no child {step} at {chi!r}")
+    new_kids = list(kids)
+    new_kids[step] = substitute(kids[step], rest, psi)
+    cls = type(chi)
+    return cls(*new_kids)
+
+
+def all_paths(phi: Formula) -> Iterator[tuple[int, ...]]:
+    """Yield every occurrence path of phi, root first."""
+    yield ()
+    for i, child in enumerate(phi.children()):
+        for sub in all_paths(child):
+            yield (i,) + sub
 
 
 def l_formulas(atom_names=DEFAULT_ATOMS, max_leaves=6):

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import all_contexts, enumerate_star
+from conftest import all_contexts, e_translate, enumerate_star
 from lad import corpus
 from lad.contexts import Context, DeniabilityVariant, World, world_from_index
 from lad.formulas import (
@@ -29,7 +29,6 @@ from lad.formulas import (
     IntNeg,
     IntOr,
     atoms_of,
-    e_translate,
     is_safe,
 )
 from lad.proofs import UNSAFE_CITATION, check, parse_proof, verify_sound

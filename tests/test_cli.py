@@ -332,6 +332,25 @@ class TestErrorContract:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+class TestBoundBelowOne:
+    """Every query spans at least one atom, so a bound below 1 is an
+    input error, reported with its source before any work is done."""
+
+    def test_flag(self):
+        child = run_lad(["--atom-bound", "-1", "entail", "p", "p"])
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr.splitlines() == ["error: --atom-bound must be at least 1, got -1"]
+
+    def test_environment(self, tmp_path):
+        from lad.corpus import ACCEPTED_PROOFS
+
+        f = tmp_path / "em.prf"
+        f.write_text(ACCEPTED_PROOFS["em.prf"])
+        child = run_lad(["check", "--sound", str(f)], env={"LAD_ATOM_BOUND": "0"})
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr.splitlines() == ["error: $LAD_ATOM_BOUND must be at least 1, got 0"]
+
+
 class TestImportPath:
     def test_cli_import_skips_heavy_stdlib_modules(self):
         # -S keeps site-packages .pth files from preloading any of them.

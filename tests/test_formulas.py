@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import l_formulas, star_formulas
+from conftest import (
+    PathError,
+    all_paths,
+    e_translate,
+    l_formulas,
+    star_formulas,
+    subformula_at,
+    substitute,
+)
 import lad
 from lad.formulas import (
     Atom,
@@ -25,21 +33,16 @@ from lad.formulas import (
     IntNeg,
     IntOr,
     LayerError,
-    PathError,
-    all_paths,
     atoms_of,
     cap_chain,
     cup_chain,
     diamond,
-    e_translate,
     is_l_formula,
     is_safe,
     match_diamond,
     match_plus,
     plus_disj,
     size,
-    subformula_at,
-    substitute,
 )
 from lad.syntax import format_formula, parse
 

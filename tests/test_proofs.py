@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schema_oracle
-from conftest import star_formulas
+from conftest import all_paths, star_formulas, subformula_at, substitute
 from lad import corpus
 from lad.formulas import (
     FALSUM,
@@ -19,9 +19,6 @@ from lad.formulas import (
     IntNeg,
     IntOr,
     LayerError,
-    all_paths,
-    subformula_at,
-    substitute,
 )
 from lad.proofs import (
     CITATION_SCOPE,

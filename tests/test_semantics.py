@@ -24,7 +24,6 @@ from lad.formulas import (
     LayerError,
     cup_chain,
     diamond,
-    e_translate,
     is_safe,
 )
 from lad.semantics import (
