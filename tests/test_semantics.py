@@ -51,7 +51,7 @@ from lad.semantics import (
     truth,
 )
 from lad.syntax import parse
-from lad.transforms import sigma_w, weak_negate
+from lad.transforms import sigma_w
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 VARIANTS = list(DeniabilityVariant)
