@@ -3,141 +3,52 @@
 The package splits into a formula layer (`formulas`, `syntax`), a
 model layer (`contexts`, `semantics`, `transforms`) and a proof layer
 (`proofs`, `corpus`), with a command line front end in `cli`.
+
+``import lad`` loads none of these modules.  A public name, or one of
+the modules below, is imported on its first use and then kept here
+(PEP 562).
 """
-from .contexts import (
-    Context,
-    ContextFormatError,
-    DeniabilityVariant,
-    EmptyInputError,
-    World,
-    format_context,
-    parse_context,
-    world_from_index,
-)
-from .formulas import (
-    Atom,
-    ExtAnd,
-    ExtImp,
-    ExtNeg,
-    ExtOr,
-    FALSUM,
-    Falsum,
-    Formula,
-    IntAnd,
-    IntImp,
-    IntNeg,
-    IntOr,
-    LayerError,
-    atoms_of,
-    diamond,
-    is_l_formula,
-    is_safe,
-    match_diamond,
-    match_plus,
-    plus_disj,
-    size,
-)
-from .proofs import (
-    Citation,
-    ProofDoc,
-    ProofLine,
-    ProofParseError,
-    Subproof,
-    Verdict,
-    Violation,
-    check,
-    parse_proof,
-    verify_sound,
-)
-from .semantics import (
-    AtomBoundExceeded,
-    ContextTables,
-    ContextTooWide,
-    DEFAULT_ATOM_BOUND,
-    UnknownAtomError,
-    WorldLimitExceeded,
-    asserts,
-    check_characteristic,
-    check_characteristic_set,
-    countermodel,
-    denies,
-    entails,
-    equivalent,
-    evaluate,
-    is_persistent,
-    persistence_witness,
-    strongly_equivalent,
-    truth,
-)
-from .syntax import ParseError, format_formula, parse
-from .transforms import mu_c, nnf, sigma_w, weak_negate, xi_x
 
-__all__ = [
-    "Atom",
-    "AtomBoundExceeded",
-    "Citation",
-    "Context",
-    "ContextFormatError",
-    "ContextTables",
-    "ContextTooWide",
-    "DEFAULT_ATOM_BOUND",
-    "DeniabilityVariant",
-    "EmptyInputError",
-    "ExtAnd",
-    "ExtImp",
-    "ExtNeg",
-    "ExtOr",
-    "FALSUM",
-    "Falsum",
-    "Formula",
-    "IntAnd",
-    "IntImp",
-    "IntNeg",
-    "IntOr",
-    "LayerError",
-    "ParseError",
-    "ProofDoc",
-    "ProofLine",
-    "ProofParseError",
-    "Subproof",
-    "UnknownAtomError",
-    "Verdict",
-    "Violation",
-    "World",
-    "WorldLimitExceeded",
-    "asserts",
-    "atoms_of",
-    "check",
-    "check_characteristic",
-    "check_characteristic_set",
-    "countermodel",
-    "denies",
-    "diamond",
-    "entails",
-    "equivalent",
-    "evaluate",
-    "format_context",
-    "format_formula",
-    "is_l_formula",
-    "is_persistent",
-    "is_safe",
-    "match_diamond",
-    "match_plus",
-    "mu_c",
-    "nnf",
-    "parse",
-    "parse_context",
-    "parse_proof",
-    "persistence_witness",
-    "plus_disj",
-    "sigma_w",
-    "size",
-    "strongly_equivalent",
-    "truth",
-    "verify_sound",
-    "weak_negate",
-    "world_from_index",
-    "xi_x",
-]
+# Each module and the public names it exports.
+_EXPORTS = {
+    "contexts": (
+        "Context", "ContextFormatError", "DEFAULT_ATOM_BOUND", "DeniabilityVariant",
+        "EmptyInputError", "World", "format_context", "parse_context", "world_from_index",
+    ),
+    "formulas": (
+        "Atom", "ExtAnd", "ExtImp", "ExtNeg", "ExtOr", "FALSUM", "Falsum", "Formula",
+        "IntAnd", "IntImp", "IntNeg", "IntOr", "LayerError", "atoms_of", "diamond",
+        "is_l_formula", "is_safe", "match_diamond", "match_plus", "plus_disj", "size",
+    ),
+    "proofs": (
+        "Citation", "ProofDoc", "ProofLine", "ProofParseError", "Subproof", "Verdict",
+        "Violation", "check", "parse_proof", "verify_sound",
+    ),
+    "semantics": (
+        "AtomBoundExceeded", "ContextTables", "ContextTooWide", "UnknownAtomError",
+        "WorldLimitExceeded", "asserts", "check_characteristic", "check_characteristic_set",
+        "countermodel", "denies", "entails", "equivalent", "evaluate", "is_persistent",
+        "persistence_witness", "strongly_equivalent", "truth",
+    ),
+    "syntax": ("ParseError", "format_formula", "parse"),
+    "transforms": ("mu_c", "nnf", "sigma_w", "weak_negate", "xi_x"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULE_OF.keys())

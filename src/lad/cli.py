@@ -1,10 +1,9 @@
 """Command line front end.
 
-Subcommands: fmt, eval, entail, countermodel, equiv, persistent,
-weakneg, nnf, charform, check.  Formulas are given inline, contexts
-and proofs live in files ('-' reads stdin).  Exit codes: 0 for yes
-(valid, equivalent, persistent, countermodel found, proof ok), 1 for
-no, 2 for errors of any kind.
+One subcommand per entry of ``COMMANDS`` (``lad -h`` lists them).
+Formulas are given inline, contexts and proofs live in files ('-'
+reads stdin).  Exit codes: 0 for yes (valid, equivalent, persistent,
+countermodel found, proof ok), 1 for no, 2 for errors of any kind.
 """
 from __future__ import annotations
 
@@ -12,7 +11,10 @@ import argparse
 import os
 import sys
 
+# Only what every command needs loads with the front end: each handler
+# imports the engine it runs.
 from .contexts import (
+    DEFAULT_ATOM_BOUND,
     Context,
     ContextFormatError,
     DeniabilityVariant,
@@ -21,21 +23,7 @@ from .contexts import (
     parse_context,
 )
 from .formulas import Formula, LayerError
-from .proofs import ProofParseError, check as check_proof, parse_proof, verify_sound
-from .semantics import (
-    AtomBoundExceeded,
-    ContextTooWide,
-    DEFAULT_ATOM_BOUND,
-    UnknownAtomError,
-    WorldLimitExceeded,
-    countermodel,
-    equivalent,
-    evaluate,
-    persistence_witness,
-    strongly_equivalent,
-)
 from .syntax import ParseError, format_formula, parse
-from .transforms import mu_c, nnf, sigma_w, weak_negate, xi_x
 
 ATOM_BOUND_ENV = "LAD_ATOM_BOUND"
 
@@ -62,8 +50,8 @@ def _context_json(ctx: Context) -> dict:
 
 
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # The same flags hang off the top parser and every subparser, so
-    # they parse on either side of the subcommand.  The subparser
+    # The same flags hang off the top parser and each command's parser,
+    # so they parse on either side of the command.  The command parser's
     # copies suppress their defaults; an absent flag then leaves the
     # top-level value alone instead of clobbering it with None.
     def dflt(value):
@@ -92,72 +80,44 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lad`` parser: the common flags and the command name, whose
+    arguments it leaves to that command's own parser (``main``)."""
+    width = max(map(len, COMMANDS))
+    listing = "".join(f"\n  {name:<{width}}  {line}" for name, (line, _, _) in COMMANDS.items())
     top = argparse.ArgumentParser(
         prog="lad",
         description="Assertibility and deniability over finite contexts.",
+        epilog=f"commands:{listing}\n\n'lad COMMAND -h' lists a command's own arguments.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     _add_common(top, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, suppress=True)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, handler, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add_parser("fmt", _cmd_fmt, help="parse a formula and print it canonically")
-    p.add_argument("formula")
-    p.add_argument(
-        "--plain", action="store_true", help="spell <> and (+) out instead of sugaring"
-    )
-
-    p = add_parser("eval", _cmd_eval, help="assert/deny status of formulas at a context")
-    p.add_argument("context", help="context file, or - for stdin")
-    p.add_argument("formulas", nargs="+", metavar="formula")
-
-    p = add_parser("entail", _cmd_entail, help="premises |= conclusion over their atoms")
-    p.add_argument("formulas", nargs="+", metavar="formula", help="premises then conclusion")
-
-    p = add_parser("countermodel", _cmd_countermodel, help="least context refuting the sequent")
-    p.add_argument("formulas", nargs="+", metavar="formula", help="premises then conclusion")
-
-    p = add_parser("equiv", _cmd_equiv, help="same assertibility everywhere")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument(
-        "--strong", action="store_true", help="also require the same deniability"
-    )
-
-    p = add_parser("persistent", _cmd_persistent, help="does assertion survive subcontexts")
-    p.add_argument("formula")
-
-    p = add_parser("weakneg", _cmd_weakneg, help="weak negation of a formula (--variant is ignored)")
-    p.add_argument("formula")
-
-    p = add_parser("nnf", _cmd_nnf, help="negation normal form of a formula")
-    p.add_argument("formula")
-
-    p = add_parser("charform", _cmd_charform, help="characteristic formula of context file(s)")
-    p.add_argument("contexts", nargs="+", metavar="context")
-    p.add_argument(
-        "--sigma",
-        action="store_true",
-        help="characteristic L-formula of the single world in a one-world context",
-    )
-
-    p = add_parser("check", _cmd_check, help="verify a proof file")
-    p.add_argument("proof", help="proof file, or - for stdin")
-    p.add_argument(
-        "--sound",
-        action="store_true",
-        help="also test premises |= conclusion semantically",
+    # PARSER takes the command name, checked against the choices, and
+    # every argument after it, flags included.
+    top.add_argument(
+        "command",
+        choices=COMMANDS,
+        nargs=argparse.PARSER,
+        help="the command, then its own arguments",
     )
     return top
 
 
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"lad {name}")
+    _add_common(parser, suppress=True)
+    for flags, kwargs in COMMANDS[name][2]:
+        parser.add_argument(*flags, **kwargs)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    top = build_parser()
+    args = top.parse_args(argv)
+    args.command, *rest = args.command
+    # Only the chosen command's parser is built.
+    args, extra = _command_parser(args.command).parse_known_args(rest, args)
+    if extra:
+        top.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         name, bound = "--atom-bound", args.atom_bound
         if bound is None:
@@ -166,25 +126,27 @@ def main(argv: list[str] | None = None) -> int:
             # Every query spans at least one atom, so no query fits.
             raise ValueError(f"{name} must be at least 1, got {bound}")
         args.atom_bound = bound
-        return args.handler(args)
-    except (
-        ParseError,
-        LayerError,
-        ContextFormatError,
-        ProofParseError,
-        EmptyInputError,
-        UnknownAtomError,
-        AtomBoundExceeded,
-        WorldLimitExceeded,
-        ContextTooWide,
-        OSError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return COMMANDS[args.command][1](args)
+    except (ParseError, LayerError, ContextFormatError, EmptyInputError, OSError, ValueError) as exc:
+        return _error(exc)
     except RecursionError:
-        print("error: formula nested too deeply", file=sys.stderr)
-        return 2
+        return _error("formula nested too deeply")
+    except Exception as exc:
+        # The engines' own input errors, imported only once something failed.
+        from .proofs import ProofParseError
+        from .semantics import AtomBoundExceeded, ContextTooWide, UnknownAtomError, WorldLimitExceeded
+
+        engine_errors = (
+            ProofParseError, UnknownAtomError, AtomBoundExceeded, WorldLimitExceeded, ContextTooWide
+        )
+        if isinstance(exc, engine_errors):
+            return _error(exc)
+        raise
+
+
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _print_json(payload: dict) -> None:
@@ -209,6 +171,8 @@ def _cmd_fmt(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .semantics import evaluate
+
     ctx = parse_context(_read_text(args.context))
     results = []
     lines = []
@@ -228,6 +192,8 @@ def _split_sequent(texts: list[str]) -> tuple[list[Formula], Formula]:
 
 
 def _cmd_entail(args) -> int:
+    from .semantics import countermodel
+
     premises, conclusion = _split_sequent(args.formulas)
     cm = countermodel(premises, conclusion, args.variant, args.atom_bound)
     if cm is None:
@@ -243,6 +209,8 @@ def _cmd_entail(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
+    from .semantics import countermodel
+
     premises, conclusion = _split_sequent(args.formulas)
     cm = countermodel(premises, conclusion, args.variant, args.atom_bound)
     if cm is None:
@@ -256,6 +224,8 @@ def _cmd_countermodel(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .semantics import equivalent, strongly_equivalent
+
     left, right = parse(args.left), parse(args.right)
     fn = strongly_equivalent if args.strong else equivalent
     same = fn(left, right, args.variant)
@@ -268,6 +238,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_persistent(args) -> int:
+    from .semantics import persistence_witness
+
     phi = parse(args.formula)
     witness = persistence_witness(phi, args.variant)
     if witness is None:
@@ -293,18 +265,24 @@ def _cmd_persistent(args) -> int:
 
 
 def _cmd_weakneg(args) -> int:
+    from .transforms import weak_negate
+
     out = format_formula(weak_negate(parse(args.formula)))
     _emit(args, {"formula": out}, out)
     return 0
 
 
 def _cmd_nnf(args) -> int:
+    from .transforms import nnf
+
     out = format_formula(nnf(parse(args.formula), args.variant))
     _emit(args, {"formula": out}, out)
     return 0
 
 
 def _cmd_charform(args) -> int:
+    from .transforms import mu_c, sigma_w, xi_x
+
     ctxs = [parse_context(_read_text(path)) for path in args.contexts]
     if args.sigma:
         if len(ctxs) != 1 or len(ctxs[0]) != 1:
@@ -320,6 +298,8 @@ def _cmd_charform(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .proofs import check as check_proof, parse_proof, verify_sound
+
     doc = parse_proof(_read_text(args.proof))
     verdict = check_proof(doc)
     sound = None
@@ -342,6 +322,48 @@ def _cmd_check(args) -> int:
         return 0 if sound in (None, True) else 1
     _emit(args, payload, "\n".join(str(v) for v in verdict.violations))
     return 1
+
+
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+_FORMULA = _arg("formula")
+_SEQUENT = _arg("formulas", nargs="+", metavar="formula", help="premises then conclusion")
+
+# Each command: its help line, its handler and its own arguments.
+COMMANDS = {
+    "fmt": ("parse a formula and print it canonically", _cmd_fmt, [
+        _FORMULA,
+        _arg("--plain", action="store_true", help="spell <> and (+) out instead of sugaring"),
+    ]),
+    "eval": ("assert/deny status of formulas at a context", _cmd_eval, [
+        _arg("context", help="context file, or - for stdin"),
+        _arg("formulas", nargs="+", metavar="formula"),
+    ]),
+    "entail": ("premises |= conclusion over their atoms", _cmd_entail, [_SEQUENT]),
+    "countermodel": ("least context refuting the sequent", _cmd_countermodel, [_SEQUENT]),
+    "equiv": ("same assertibility everywhere", _cmd_equiv, [
+        _arg("left"),
+        _arg("right"),
+        _arg("--strong", action="store_true", help="also require the same deniability"),
+    ]),
+    "persistent": ("does assertion survive subcontexts", _cmd_persistent, [_FORMULA]),
+    "weakneg": ("weak negation of a formula (--variant is ignored)", _cmd_weakneg, [_FORMULA]),
+    "nnf": ("negation normal form of a formula", _cmd_nnf, [_FORMULA]),
+    "charform": ("characteristic formula of context file(s)", _cmd_charform, [
+        _arg("contexts", nargs="+", metavar="context"),
+        _arg(
+            "--sigma",
+            action="store_true",
+            help="characteristic L-formula of the single world in a one-world context",
+        ),
+    ]),
+    "check": ("verify a proof file", _cmd_check, [
+        _arg("proof", help="proof file, or - for stdin"),
+        _arg("--sound", action="store_true", help="also test premises |= conclusion semantically"),
+    ]),
+}
 
 
 if __name__ == "__main__":

@@ -18,6 +18,9 @@ from collections.abc import Iterator, Mapping, Sequence
 from .formulas import ATOM_NAME
 from .records import Record, _set
 
+# The largest atom count an entailment search accepts unless told otherwise.
+DEFAULT_ATOM_BOUND = 4
+
 
 class EmptyInputError(Exception):
     """Empty atom list, world set or context set where one is required."""

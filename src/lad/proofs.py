@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from .contexts import DeniabilityVariant
+from .contexts import DEFAULT_ATOM_BOUND, DeniabilityVariant
 from .formulas import (
     Atom,
     ExtAnd,
@@ -49,8 +49,8 @@ from .formulas import (
     _Binary,
     _Unary,
 )
-from .records import Record, _set
-from .semantics import DEFAULT_ATOM_BOUND, entails
+from .records import Record, setters
+from .semantics import entails
 from .syntax import ParseError, parse
 
 ROUND = "round"
@@ -139,8 +139,8 @@ class Citation(Record):
     __slots__ = __match_args__ = ("start", "end")
 
     def __init__(self, start: int, end: int | None = None):
-        _set(self, "start", start)
-        _set(self, "end", end)
+        _set_start(self, start)
+        _set_end(self, end)
 
     @property
     def is_span(self) -> bool:
@@ -165,13 +165,13 @@ class ProofLine(Record):
         chain: tuple[int, ...],
         source_line: int,
     ):
-        _set(self, "number", number)
-        _set(self, "depth", depth)
-        _set(self, "formula", formula)
-        _set(self, "rule", rule)
-        _set(self, "citations", citations)
-        _set(self, "chain", chain)
-        _set(self, "source_line", source_line)
+        _set_number(self, number)
+        _set_depth(self, depth)
+        _set_formula(self, formula)
+        _set_rule(self, rule)
+        _set_citations(self, citations)
+        _set_chain(self, chain)
+        _set_source_line(self, source_line)
 
 
 class Subproof(Record):
@@ -207,9 +207,9 @@ class Violation(Record):
     __slots__ = __match_args__ = ("line", "code", "detail")
 
     def __init__(self, line: int, code: str, detail: str):
-        _set(self, "line", line)
-        _set(self, "code", code)
-        _set(self, "detail", detail)
+        _set_line(self, line)
+        _set_code(self, code)
+        _set_detail(self, detail)
 
     def __str__(self) -> str:
         return f"line {self.line}: {self.code}: {self.detail}"
@@ -219,16 +219,16 @@ class Verdict(Record):
     __slots__ = __match_args__ = ("ok", "violations")
 
     def __init__(self, ok: bool, violations: tuple[Violation, ...]):
-        _set(self, "ok", ok)
-        _set(self, "violations", violations)
+        _set_ok(self, ok)
+        _set_violations(self, violations)
 
 
 class ProofDoc(Record):
     __slots__ = __match_args__ = ("lines", "subproofs")
 
     def __init__(self, lines: tuple[ProofLine, ...], subproofs: tuple[Subproof, ...]):
-        _set(self, "lines", lines)
-        _set(self, "subproofs", subproofs)
+        _set_lines(self, lines)
+        _set_subproofs(self, subproofs)
 
     def line(self, number: int) -> ProofLine:
         return self.lines[number - 1]
@@ -247,6 +247,18 @@ class ProofDoc(Record):
         if last.depth != 0:
             raise ValueError("proof ends inside a subproof")
         return last.formula
+
+
+# Constructors set fields through the slot descriptors themselves, as
+# formulas does.
+_set_start, _set_end = setters(Citation)
+(
+    _set_number, _set_depth, _set_formula, _set_rule, _set_citations, _set_chain,
+    _set_source_line,
+) = setters(ProofLine)
+_set_line, _set_code, _set_detail = setters(Violation)
+_set_ok, _set_violations = setters(Verdict)
+_set_lines, _set_subproofs = setters(ProofDoc)
 
 
 _MARKED = re.compile(r"([*o]+)\s+(.*)$")

@@ -2,7 +2,8 @@
 
 A record is a plain slotted class.  It names its fields, in constructor
 order, in ``__match_args__`` (which is also its ``__slots__``) and sets
-them once in its own ``__init__`` through ``object.__setattr__``;
+them once in its own ``__init__``, through ``object.__setattr__`` or,
+faster, through the setters of its slot descriptors (``setters``);
 ``_fields`` returns their values in that order.  ``Record`` adds what
 a frozen dataclass would: a repr naming each field, ``==`` and hash
 over the fields as one tuple, pickling and copying through the
@@ -15,6 +16,12 @@ from __future__ import annotations
 
 # Records refuse assignment, so their constructors set fields through this.
 _set = object.__setattr__
+
+
+def setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in constructor
+    order: what ``_set`` does, less the name lookup and checks."""
+    return tuple([getattr(cls, name).__set__ for name in cls.__match_args__])
 
 
 class Record:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from .contexts import Context, DeniabilityVariant, World
+from .contexts import DEFAULT_ATOM_BOUND, Context, DeniabilityVariant, World
 from .formulas import (
     Atom,
     ExtAnd,
@@ -68,7 +68,6 @@ from .formulas import (
 )
 from .transforms import mu_c, xi_x
 
-DEFAULT_ATOM_BOUND = 4
 TABLE_ATOM_LIMIT = 4
 # The widest table the countermodel search builds: 2**24 bits (2 MB)
 # per table.

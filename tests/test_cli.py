@@ -54,6 +54,27 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_exit(capsys, *argv):
+    """(exit code, stdout, stderr) of a command that argparse ends."""
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+def run_python_s(code):
+    """Run ``code`` under ``python -S`` on this checkout's source; -S keeps
+    site-packages .pth files from preloading any module."""
+    src = str(pathlib.Path(lad.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 class TestFmt:
     def test_canonical(self, capsys):
         code, out, _ = run(capsys, "fmt", "((p))->(q&p)")
@@ -365,6 +386,93 @@ class TestImportPath:
             timeout=60,
         )
         assert (child.returncode, child.stdout, child.stderr) == (0, "\n", "")
+
+    def test_package_import_loads_no_submodule(self):
+        child = run_python_s("import lad, sys; print(*[m for m in sys.modules if m.startswith('lad.')])")
+        assert (child.returncode, child.stdout, child.stderr) == (0, "\n", "")
+
+    def test_cli_import_loads_no_engine(self):
+        engines = ("lad.semantics", "lad.proofs", "lad.transforms", "lad.corpus")
+        child = run_python_s(f"import lad.cli, sys; print(*[m for m in {engines!r} if m in sys.modules])")
+        assert (child.returncode, child.stdout, child.stderr) == (0, "\n", "")
+
+    def test_fmt_runs_without_semantics_or_proofs(self):
+        child = run_python_s(
+            "import lad.cli, sys; code = lad.cli.main(['fmt', 'p']); "
+            "print(code, *[m for m in ('lad.semantics', 'lad.proofs') if m in sys.modules])"
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (0, "p\n0\n", "")
+
+    def test_modules_resolve_as_package_attributes(self):
+        child = run_python_s("import lad; print(lad.semantics.__name__, lad.proofs.parse.__module__)")
+        assert (child.returncode, child.stdout, child.stderr) == (0, "lad.semantics lad.syntax\n", "")
+
+    def test_dir_lists_every_public_name(self):
+        child = run_python_s("import lad; print(*sorted(set(lad.__all__) - set(dir(lad))))")
+        assert (child.returncode, child.stdout, child.stderr) == (0, "\n", "")
+
+
+class TestUsage:
+    """What argparse itself prints: help, and the errors before any command runs."""
+
+    HELP_LINES = {
+        "fmt": "parse a formula and print it canonically",
+        "eval": "assert/deny status of formulas at a context",
+        "entail": "premises |= conclusion over their atoms",
+        "countermodel": "least context refuting the sequent",
+        "equiv": "same assertibility everywhere",
+        "persistent": "does assertion survive subcontexts",
+        "weakneg": "weak negation of a formula (--variant is ignored)",
+        "nnf": "negation normal form of a formula",
+        "charform": "characteristic formula of context file(s)",
+        "check": "verify a proof file",
+    }
+
+    def test_help_lists_every_command_with_its_help_line(self, capsys):
+        code, out, err = run_exit(capsys, "-h")
+        assert (code, err) == (0, "")
+        listed = [line.split(None, 1) for line in out.splitlines() if line.startswith("  ")]
+        for name, help_line in self.HELP_LINES.items():
+            assert [name, help_line] in listed
+
+    def test_command_help_shows_its_usage_and_the_common_flags(self, capsys):
+        code, out, err = run_exit(capsys, "entail", "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: lad entail ")
+        for flag in ("--variant", "--atom-bound", "--json"):
+            assert flag in out
+
+    def test_no_command(self, capsys):
+        code, out, err = run_exit(capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "lad: error: the following arguments are required: command"
+
+    def test_unknown_command(self, capsys):
+        code, out, err = run_exit(capsys, "bogus")
+        assert (code, out) == (2, "")
+        choices = ", ".join(repr(name) for name in self.HELP_LINES)
+        assert err.splitlines()[-1] == (
+            f"lad: error: argument command: invalid choice: 'bogus' (choose from {choices})"
+        )
+
+
+class TestHookedNames:
+    """perfbench/traced.py times parsing, formatting and context parsing by
+    patching these attributes of lad.cli, so handlers read them from the
+    module when they run."""
+
+    def test_handlers_call_the_module_attributes(self, capsys, monkeypatch, murder_file):
+        import lad.cli
+
+        called = []
+        for name in ("parse", "format_formula", "parse_context"):
+            def spy(*args, _name=name, _real=getattr(lad.cli, name), **kwargs):
+                called.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(lad.cli, name, spy)
+        assert run(capsys, "eval", murder_file, "p \\/ q")[0] == 0
+        assert sorted(set(called)) == ["format_formula", "parse", "parse_context"]
 
 
 class TestSearchBound:

@@ -2,6 +2,8 @@
 import ast
 import pathlib
 
+import pytest
+
 import lad
 
 PUBLIC = [
@@ -80,6 +82,11 @@ def test_public_names_are_pinned_and_resolve():
     assert len(set(lad.__all__)) == len(lad.__all__)
     for name in lad.__all__:
         getattr(lad, name)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        lad.no_such_name
 
 
 def _imported_names(tree):
