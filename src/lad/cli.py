@@ -117,6 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     # Only the chosen command's parser is built.
     args, extra = _command_parser(args.command).parse_known_args(rest, args)
     if extra:
+        # Reported by the lad parser, with its usage, as argparse does.
         top.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         name, bound = "--atom-bound", args.atom_bound
