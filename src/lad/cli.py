@@ -132,6 +132,10 @@ def main(argv: list[str] | None = None) -> int:
         return _error(exc)
     except RecursionError:
         return _error("formula nested too deeply")
+    except MemoryError:
+        # A context stores its worlds as a bit set over world indices, so
+        # one world of high index over many atoms can exhaust memory.
+        return _error("out of memory")
     except Exception as exc:
         # The engines' own input errors, imported only once something failed.
         from .proofs import ProofParseError

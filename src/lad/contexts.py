@@ -104,10 +104,14 @@ class Context(Record):
     """A nonempty set of worlds over one sorted atom tuple.
 
     members is a bit set over world indices (bit i set means the world
-    with index i belongs to the context).
+    with index i belongs to the context).  The member world indices and
+    each atom's truth mask over them are made on first use (_index) and
+    kept in a slot that is not a field, so repr, ==, hash and pickling
+    never see them.
     """
 
-    __slots__ = __match_args__ = ("atoms", "members")
+    __match_args__ = ("atoms", "members")
+    __slots__ = (*__match_args__, "_cache")
 
     def __init__(self, atoms: tuple[str, ...], members: int):
         if not atoms:
@@ -119,6 +123,24 @@ class Context(Record):
             raise ValueError("context members out of range or empty")
         _set(self, "atoms", atoms)
         _set(self, "members", members)
+
+    def _index(self) -> tuple[tuple[int, ...], dict[str, int]]:
+        """(worlds, masks): the member world indices, ascending, and each
+        atom's truth mask over them (_atom_masks).  Made once per context:
+        evaluation, worlds() and len() all read it."""
+        try:
+            return self._cache
+        except AttributeError:
+            pass
+        worlds = []
+        rest = self.members
+        while rest:
+            low = rest & -rest
+            worlds.append(low.bit_length() - 1)
+            rest ^= low
+        index = tuple(worlds), _atom_masks(self.atoms, worlds)
+        _set_cache(self, index)
+        return index
 
     @classmethod
     def from_worlds(cls, worlds: Sequence[World]) -> "Context":
@@ -141,14 +163,11 @@ class Context(Record):
 
     def worlds(self) -> Iterator[World]:
         """Member worlds in ascending index order."""
-        mask = self.members
-        while mask:
-            low = mask & -mask
-            yield world_from_index(self.atoms, low.bit_length() - 1)
-            mask ^= low
+        for w in self._index()[0]:
+            yield world_from_index(self.atoms, w)
 
     def __len__(self) -> int:
-        return bin(self.members).count("1")
+        return len(self._index()[0])
 
     def __contains__(self, world: World) -> bool:
         return world.atoms == self.atoms and bool(self.members >> world.index & 1)
@@ -161,6 +180,22 @@ class Context(Record):
             if sub == 0:
                 return
             yield Context(self.atoms, sub)
+
+
+_set_cache = Context._cache.__set__
+
+
+def _atom_masks(atoms: Sequence[str], worlds: Sequence[int]) -> dict[str, int]:
+    """Each atom's truth mask over the listed world indices: bit i for worlds[i]."""
+    n = len(atoms)
+    masks = {}
+    for j, name in enumerate(atoms):
+        shift = n - 1 - j
+        mask = 0
+        for i, w in enumerate(worlds):
+            mask |= (w >> shift & 1) << i
+        masks[name] = mask
+    return masks
 
 
 def parse_context(text: str) -> Context:

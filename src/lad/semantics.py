@@ -22,15 +22,20 @@ about 137 KiB after whole-space tables only.
 Extensional formulas are settled by their truth masks over the table's
 worlds (_truth_mask, which truth() runs over one world).
 
-One context is evaluated by one walk over the formula's intensional
-nodes, which makes each maximal extensional subformula's truth mask
-over the context's worlds once (and finds every atom the context
-lacks).  Worlds on which all those masks agree form a class.  Worlds of
-one class are interchangeable in every clause, so tables over the
-classes, fed the masks by class, are exact (_ClassTables), and a
-context of any width evaluates when it has at most TABLE_WORLD_LIMIT
-classes (else ContextTooWide).  asserts reads only the assert side and
-denies only the deny side.
+One context is evaluated from set-up made once per context: its world
+list and each atom's truth mask over those worlds (Context._index),
+which every later evaluation of it reuses, whatever the formula or
+variant.  A context of at most POINT_WORLD_LIMIT worlds is tabulated
+over its own worlds, each maximal extensional subformula's truth mask
+made as the build reads it.  A wider one is evaluated by one walk over
+the formula's intensional nodes, which makes each maximal extensional
+subformula's truth mask over the context's worlds once (and finds
+every atom the context lacks).  Worlds on which all those masks agree
+form a class.  Worlds of one class are interchangeable in every
+clause, so tables over the classes, fed the masks by class, are exact
+(_ClassTables), and a context of any width evaluates when it has at
+most TABLE_WORLD_LIMIT classes (else ContextTooWide).  asserts reads
+only the assert side and denies only the deny side.
 
 Entailment has one search at every atom count (up to the caller's
 bound).  A safe premise persists, so a countermodel is made of kept
@@ -48,7 +53,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from .contexts import DEFAULT_ATOM_BOUND, Context, DeniabilityVariant, World
+from .contexts import DEFAULT_ATOM_BOUND, Context, DeniabilityVariant, World, _atom_masks
 from .formulas import (
     Atom,
     ExtAnd,
@@ -73,6 +78,12 @@ TABLE_ATOM_LIMIT = 4
 # per table.
 TABLE_WORLD_LIMIT = 24
 SEARCH_WORLD_STEP = 4
+# Point evaluation tabulates a context of at most this many worlds over
+# its own worlds, a wider one over classes (see _point_tables).  Measured
+# on contexts over six atoms and formulas of 2-4 extensional leaves, the
+# world tables take 0.6-0.8 of the class tables' time up to 10 worlds,
+# 0.9-1.7 at 12, and lose from 13 worlds on.
+POINT_WORLD_LIMIT = 10
 
 
 class UnknownAtomError(Exception):
@@ -140,19 +151,6 @@ def _truth_mask(alpha: Formula, atom_masks: Mapping[str, int], full: int) -> int
             return left | right
         return (full ^ left) | right
     raise LayerError("truth at a world is defined for extensional formulas only")
-
-
-def _atom_masks(atoms: Sequence[str], worlds: Sequence[int]) -> dict[str, int]:
-    """Each atom's truth mask over the listed world indices: bit i for worlds[i]."""
-    n = len(atoms)
-    masks = {}
-    for j, name in enumerate(atoms):
-        shift = n - 1 - j
-        mask = 0
-        for i, w in enumerate(worlds):
-            mask |= (w >> shift & 1) << i
-        masks[name] = mask
-    return masks
 
 
 def truth(world: World, alpha: Formula) -> bool:
@@ -340,37 +338,50 @@ class _SingletonTables(ContextTables):
 
 
 class _ClassTables(ContextTables):
-    """Tables over the classes of one context's worlds (see _point_tables):
-    bit i of a position stands for the i-th class, and the formula's
-    maximal extensional subformulas come with their truth masks over the
-    classes, so no atom or world list is needed."""
+    """Tables over one context (see _point_tables), given its atom masks.
+    Bit i of a position stands for the i-th of its worlds, or for the
+    i-th class of its worlds when ``truths`` comes filled with the truth
+    mask over the classes of each of the formula's maximal extensional
+    subformulas."""
 
     def __init__(
-        self, variant: DeniabilityVariant | str, n_classes: int, leaf_masks: dict[Formula, int]
+        self,
+        variant: DeniabilityVariant | str,
+        width: int,
+        atom_masks: Mapping[str, int],
+        truths: dict[Formula, int],
     ):
         self.variant = DeniabilityVariant.coerce(variant)
-        self._set_width(n_classes)
-        self._truths = leaf_masks
+        self._set_width(width)
+        self._atom_masks = atom_masks
+        self._truths = truths
         self._tables = ({}, {})
 
     def holds(self, phi: Formula, deny: bool) -> bool:
-        """Does the whole context (every class) deny phi, or assert it?"""
-        return bool(self.table(phi, deny) >> self.full_worlds & 1)
+        """Does the whole context deny phi, or assert it?"""
+        try:
+            return bool(self.table(phi, deny) >> self.full_worlds & 1)
+        except UnknownAtomError:
+            # Over worlds the leaves' truths are made as the build reads
+            # them, so the first atom missing stops it: name them all.
+            raise _unknown_atoms(phi, self._atom_masks) from None
+
+
+def _unknown_atoms(phi: Formula, atoms: Iterable[str]) -> UnknownAtomError:
+    """The error naming every atom of phi not among the given atoms."""
+    return UnknownAtomError(", ".join(sorted(atoms_of(phi).difference(atoms))))
 
 
 def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | str) -> _ClassTables:
-    """Tables over the classes of the context's worlds that agree on every
-    maximal extensional subformula of phi (see the module docstring).
-    Raises UnknownAtomError naming every atom of phi the context lacks,
-    then ContextTooWide past TABLE_WORLD_LIMIT classes."""
-    worlds = []
-    rest = context.members
-    while rest:
-        low = rest & -rest
-        worlds.append(low.bit_length() - 1)
-        rest ^= low
+    """Tables over the context's own worlds when it has at most
+    POINT_WORLD_LIMIT of them, else over the classes of its worlds that
+    agree on every maximal extensional subformula of phi (see the module
+    docstring).  Raises UnknownAtomError naming every atom of phi the
+    context lacks, then ContextTooWide past TABLE_WORLD_LIMIT classes."""
+    worlds, masks = context._index()
+    if len(worlds) <= POINT_WORLD_LIMIT:
+        return _ClassTables(variant, len(worlds), masks, {})
     full = (1 << len(worlds)) - 1
-    masks = _atom_masks(context.atoms, worlds)
     # One walk over phi's intensional nodes: the truth mask over the
     # context's worlds of each of its maximal extensional subformulas.
     truths = {}
@@ -383,8 +394,7 @@ def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | 
                 elif node not in truths:
                     truths[node] = _truth_mask(node, masks, full)
     except UnknownAtomError:
-        missing = atoms_of(phi).difference(context.atoms)
-        raise UnknownAtomError(", ".join(sorted(missing))) from None
+        raise _unknown_atoms(phi, masks) from None
     classes = [full]
     for t in truths.values():
         classes = [part for c in classes for part in (c & t, c & ~t) if part]
@@ -395,7 +405,7 @@ def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | 
     reps = [(c & -c).bit_length() - 1 for c in classes]
     for leaf, t in truths.items():
         truths[leaf] = sum((t >> r & 1) << j for j, r in enumerate(reps))
-    return _ClassTables(variant, len(classes), truths)
+    return _ClassTables(variant, len(classes), masks, truths)
 
 
 def evaluate(
@@ -403,8 +413,9 @@ def evaluate(
 ) -> tuple[bool, bool]:
     """(asserted, denied): does the context assert phi, and deny it?
 
-    Reads the tables over the classes of the context's worlds (see
-    _point_tables); raises ContextTooWide past TABLE_WORLD_LIMIT classes.
+    Reads the tables over the context's worlds or over classes of them
+    (see _point_tables); raises ContextTooWide past TABLE_WORLD_LIMIT
+    classes.
     """
     tab = _point_tables(context, phi, variant)
     return tab.holds(phi, False), tab.holds(phi, True)

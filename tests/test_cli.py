@@ -48,6 +48,21 @@ def run_lad(argv, env=None, stdin="", preexec_fn=None):
     )
 
 
+def run_lad_capped(tmp_path, worlds, *formulas):
+    """``lad eval`` on a context file over 36 atoms with the given world
+    lines, in a child whose address space is capped at 1.5 GB."""
+    resource = pytest.importorskip("resource")
+    cap = 1536 << 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    atoms = [f"a{i:02}" for i in range(36)]
+    path = tmp_path / "wide.ctx"
+    path.write_text(" ".join(atoms) + "\n" + "".join(w + "\n" for w in worlds))
+    return run_lad(["eval", str(path), *formulas], preexec_fn=limit_memory)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -116,8 +131,8 @@ class TestEval:
 
     def test_one_evaluator_for_both_passes(self, capsys, murder_file, monkeypatch):
         # Each formula is evaluated once: one set of tables over the
-        # classes of the context's worlds answers both the assert and
-        # the deny pass, and no other tables are built.
+        # context's worlds answers both the assert and the deny pass,
+        # and no other tables are built.
         built = []
         for cls in (ContextTables, _ClassTables):
             def counting_init(self, *args, _init=cls.__init__, **kwargs):
@@ -131,21 +146,20 @@ class TestEval:
     def test_few_worlds_over_36_atoms_under_a_memory_cap(self, tmp_path):
         # members is 3, but a bound of 1 << 2**36 on it would be an 8 GB
         # number.  The cap makes any such allocation fail at once.
-        resource = pytest.importorskip("resource")
-        cap = 1536 << 20
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-        atoms = [f"a{i:02}" for i in range(36)]
-        path = tmp_path / "wide.ctx"
-        path.write_text(" ".join(atoms) + "\n" + "0" * 36 + "\n" + "0" * 35 + "1\n")
-        proc = run_lad(["eval", str(path), "a00 -> a35", "!(a35 -> a00)"], preexec_fn=limit_memory)
+        proc = run_lad_capped(tmp_path, ["0" * 36, "0" * 35 + "1"], "a00 -> a35", "!(a35 -> a00)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "a00 -> a35: asserted=true denied=false",
             "!(a35 -> a00): asserted=true denied=false",
         ]
+
+    def test_high_index_world_over_36_atoms_under_a_memory_cap(self, tmp_path):
+        # The world 1...1 has index 2**36 - 1: its member bit alone is an
+        # 8 GB number, which the cap refuses.
+        proc = run_lad_capped(tmp_path, ["1" * 36, "0" * 36], "a00 -> a35")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: out of memory"]
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "eval", "no/such/file.ctx", "p")

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -30,12 +31,14 @@ from lad.semantics import (
     AtomBoundExceeded,
     ContextTables,
     ContextTooWide,
+    POINT_WORLD_LIMIT,
     TABLE_WORLD_LIMIT,
     UnknownAtomError,
     WorldLimitExceeded,
     _SingletonTables,
     _index_bit_mask,
     _kept_worlds,
+    _point_tables,
     asserts,
     check_characteristic,
     check_characteristic_set,
@@ -335,13 +338,33 @@ def point_queries(draw):
     return Context(atoms, sum(1 << w for w in worlds)), phi
 
 
+@st.composite
+def point_sessions(draw):
+    """A context of 1-12 worlds over 1-5 atoms, and a drawn order of
+    (formula, variant) queries: each of 2-4 formulas under each variant."""
+    atoms = ("p", "q", "r", "s", "t")[: draw(st.integers(1, 5))]
+    worlds = draw(st.sets(st.integers(0, (1 << len(atoms)) - 1), min_size=1, max_size=12))
+    phis = draw(st.lists(star_formulas(atoms, max_leaves=4), min_size=2, max_size=4))
+    queries = draw(st.permutations([(phi, v) for phi in phis for v in VARIANTS]))
+    return Context(atoms, sum(1 << w for w in worlds)), queries
+
+
+# Contexts of POINT_WORLD_LIMIT worlds and of one more, over p, q, r, s.
+AT_THE_BOUND = Context(("p", "q", "r", "s"), ((1 << POINT_WORLD_LIMIT) - 1) << 3)
+PAST_THE_BOUND = Context(("p", "q", "r", "s"), ((1 << POINT_WORLD_LIMIT + 1) - 1) << 3)
+BOUND_FORMULA = parse("((p -> q) -> !(r \\/ ~s -> p)) & !(q -> (r \\/ ~s))")
+
+
 class TestPointEvaluation:
-    """asserts/denies, through tables over classes of the context's
-    worlds, against the one-context oracle in tests/point_evaluator.py."""
+    """asserts/denies, through tables over the context's worlds or over
+    classes of them, against the one-context oracle in
+    tests/point_evaluator.py."""
 
     @settings(max_examples=150, deadline=None)
     @given(point_queries())
     @example((Context(("p", "q", "r"), 0b10110110), IntImp(P, IntNeg(IntImp(Q, P)))))
+    @example((AT_THE_BOUND, BOUND_FORMULA))
+    @example((PAST_THE_BOUND, BOUND_FORMULA))
     def test_matches_the_oracle(self, query):
         ctx, phi = query
         for variant in VARIANTS:
@@ -349,6 +372,39 @@ class TestPointEvaluation:
             want = (ev.asserts(ctx.members, phi), ev.denies(ctx.members, phi))
             assert evaluate(ctx, phi, variant) == want
             assert (asserts(ctx, phi, variant), denies(ctx, phi, variant)) == want
+
+    def test_world_tables_up_to_the_bound(self):
+        # At the bound a position bit stands for a world; one past it, for
+        # a class, and BOUND_FORMULA's leaves p, q and r \/ ~s cut the 11
+        # worlds into 7.
+        assert len(AT_THE_BOUND) == POINT_WORLD_LIMIT
+        assert _point_tables(AT_THE_BOUND, BOUND_FORMULA, "gauker").n_worlds == POINT_WORLD_LIMIT
+        assert _point_tables(PAST_THE_BOUND, BOUND_FORMULA, "gauker").n_worlds == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(point_sessions())
+    def test_one_context_answers_queries_in_any_order(self, session):
+        # The context's world list and atom masks, made on its first
+        # evaluation, serve every later query whatever its formula or variant.
+        ctx, queries = session
+        for phi, variant in queries:
+            ev = PointEvaluator(ctx.atoms, variant)
+            want = (ev.asserts(ctx.members, phi), ev.denies(ctx.members, phi))
+            assert (asserts(ctx, phi, variant), denies(ctx, phi, variant)) == want
+            assert evaluate(ctx, phi, variant) == want
+
+    @pytest.mark.parametrize("ctx", [AT_THE_BOUND, Context.full(("p", "q", "r", "s", "t"))], ids=["worlds", "classes"])
+    def test_evaluation_leaves_the_context_as_new(self, ctx):
+        used = Context(ctx.atoms, ctx.members)
+        for variant in VARIANTS:
+            evaluate(used, parse("(p -> q) -> !(r -> p)"), variant)
+        assert used._index() is used._index()
+        fresh = Context(ctx.atoms, ctx.members)
+        assert repr(used) == repr(fresh)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        again = pickle.loads(pickle.dumps(used))
+        assert again == fresh and repr(again) == repr(fresh)
 
     @settings(max_examples=60, deadline=None)
     @given(sequents())
@@ -593,6 +649,16 @@ class TestBounds:
         for judge in (asserts, denies, evaluate):
             with pytest.raises(UnknownAtomError) as info:
                 judge(wide, phi)
+            assert str(info.value) == "b, zz"
+
+    def test_every_unknown_atom_named_over_worlds(self):
+        # The same formula at a context of at most POINT_WORLD_LIMIT
+        # worlds, whose tables make leaf truths as the build reads them.
+        ctx = Context(("p", "q", "r", "s", "t"), 0b1011_0110)
+        phi = parse("(p & q & r) -> (s & t & zz & b)")
+        for judge in (asserts, denies, evaluate):
+            with pytest.raises(UnknownAtomError) as info:
+                judge(ctx, phi)
             assert str(info.value) == "b, zz"
 
 
