@@ -25,17 +25,21 @@ worlds (_truth_mask, which truth() runs over one world).
 One context is evaluated from set-up made once per context: its world
 list and each atom's truth mask over those worlds (Context._index),
 which every later evaluation of it reuses, whatever the formula or
-variant.  A context of at most POINT_WORLD_LIMIT worlds is tabulated
-over its own worlds, each maximal extensional subformula's truth mask
-made as the build reads it.  A wider one is evaluated by one walk over
-the formula's intensional nodes, which makes each maximal extensional
-subformula's truth mask over the context's worlds once (and finds
-every atom the context lacks).  Worlds on which all those masks agree
-form a class.  Worlds of one class are interchangeable in every
-clause, so tables over the classes, fed the masks by class, are exact
-(_ClassTables), and a context of any width evaluates when it has at
-most TABLE_WORLD_LIMIT classes (else ContextTooWide).  asserts reads
-only the assert side and denies only the deny side.
+variant.  A context of at most POINT_WORLD_LIMIT (10) worlds is
+tabulated over its own worlds, each maximal extensional subformula's
+truth mask made as the build reads it.  10 is the measured crossover:
+on contexts over six atoms and formulas of 2-4 extensional leaves, the
+world tables took 0.6-0.8 of the class tables' time up to 10 worlds,
+0.9-1.7 at 12, and lost from 13 worlds on.  A wider one is evaluated
+by one walk over the formula's intensional nodes, which makes each
+maximal extensional subformula's truth mask over the context's worlds
+once (and finds every atom the context lacks).  Worlds on which all
+those masks agree form a class.  Worlds of one class are
+interchangeable in every clause, so tables over the classes, fed the
+masks by class, are exact (_ClassTables), and a context of any width
+evaluates when it has at most TABLE_WORLD_LIMIT classes (else
+ContextTooWide).  asserts reads only the assert side and denies only
+the deny side.
 
 Entailment has one search at every atom count (up to the caller's
 bound).  A safe premise persists, so a countermodel is made of kept
@@ -79,10 +83,7 @@ TABLE_ATOM_LIMIT = 4
 TABLE_WORLD_LIMIT = 24
 SEARCH_WORLD_STEP = 4
 # Point evaluation tabulates a context of at most this many worlds over
-# its own worlds, a wider one over classes (see _point_tables).  Measured
-# on contexts over six atoms and formulas of 2-4 extensional leaves, the
-# world tables take 0.6-0.8 of the class tables' time up to 10 worlds,
-# 0.9-1.7 at 12, and lose from 13 worlds on.
+# its own worlds, a wider one over classes (see the module docstring).
 POINT_WORLD_LIMIT = 10
 
 

@@ -393,7 +393,9 @@ class TestPointEvaluation:
             assert (asserts(ctx, phi, variant), denies(ctx, phi, variant)) == want
             assert evaluate(ctx, phi, variant) == want
 
-    @pytest.mark.parametrize("ctx", [AT_THE_BOUND, Context.full(("p", "q", "r", "s", "t"))], ids=["worlds", "classes"])
+    @pytest.mark.parametrize(
+        "ctx", [AT_THE_BOUND, Context.full(("p", "q", "r", "s", "t"))], ids=["worlds", "classes"]
+    )
     def test_evaluation_leaves_the_context_as_new(self, ctx):
         used = Context(ctx.atoms, ctx.members)
         for variant in VARIANTS:
