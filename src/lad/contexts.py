@@ -20,6 +20,8 @@ from .records import Record, _set
 
 # The largest atom count an entailment search accepts unless told otherwise.
 DEFAULT_ATOM_BOUND = 4
+# Bytes of a context's member bit set that Context._index decodes at once.
+_DECODE_BLOCK = 4096
 
 
 class EmptyInputError(Exception):
@@ -132,12 +134,20 @@ class Context(Record):
             return self._cache
         except AttributeError:
             pass
+        # One scan of the binary digits, block by block so that a sparse
+        # set over many worlds makes no string the size of its bit length;
+        # in a block, the lowest world (last digit) first.
+        data = self.members.to_bytes((self.members.bit_length() + 7) // 8, "little")
         worlds = []
-        rest = self.members
-        while rest:
-            low = rest & -rest
-            worlds.append(low.bit_length() - 1)
-            rest ^= low
+        for start in range(0, len(data), _DECODE_BLOCK):
+            block = int.from_bytes(data[start:start + _DECODE_BLOCK], "little")
+            if block:
+                bits = bin(block)
+                top = 8 * start + len(bits) - 1
+                i = bits.rfind("1")
+                while i >= 0:
+                    worlds.append(top - i)
+                    i = bits.rfind("1", 0, i)
         index = tuple(worlds), _atom_masks(self.atoms, worlds)
         _set_cache(self, index)
         return index
@@ -187,15 +197,11 @@ _set_cache = Context._cache.__set__
 
 def _atom_masks(atoms: Sequence[str], worlds: Sequence[int]) -> dict[str, int]:
     """Each atom's truth mask over the listed world indices: bit i for worlds[i]."""
-    n = len(atoms)
-    masks = {}
-    for j, name in enumerate(atoms):
-        shift = n - 1 - j
-        mask = 0
-        for i, w in enumerate(worlds):
-            mask |= (w >> shift & 1) << i
-        masks[name] = mask
-    return masks
+    # Row i spells "0b1" and then the digits of the i-th world from the
+    # end, so column 3 + j, read in binary, is atom j's mask.
+    top = 1 << len(atoms)
+    columns = list(zip(*[bin(top | w) for w in reversed(worlds)]))[3:]
+    return {name: int("".join(column), 2) for name, column in zip(atoms, columns)}
 
 
 def parse_context(text: str) -> Context:

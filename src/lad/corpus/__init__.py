@@ -1,7 +1,8 @@
-"""Proof and context corpus: a small builder, recursive generators
-for the assertibility-or-weak-negation derivations, and the
-hand-written accepted/rejected proof files (read from this package's
-proofs/ and contexts/) with their expected verdicts.
+"""Proof and context corpus: a small builder, the derivations of the
+two laws of weak negation (x | -x, and _|_ from x, -x), each one
+polarity walk over x, and the hand-written accepted/rejected proof
+files (read from this package's proofs/ and contexts/) with their
+expected verdicts.
 """
 from __future__ import annotations
 
@@ -88,276 +89,163 @@ class ProofBuilder:
         return "\n".join(out) + "\n"
 
 
-def emit_excluded_or_negated(b: ProofBuilder, phi: Formula) -> int:
-    """Derive phi | -phi at the current depth, no premises used."""
-    w = weak_negate(phi)
-    target = IntOr(phi, w)
+def _excluded(b: ProofBuilder, phi: Formula, deny: bool) -> int:
+    """Derive s | -s at the current depth, no premises used, where s
+    is phi, or !phi when deny is set.  The recursion is that of
+    transforms._weak; weak_negate raises TypeError on a non-formula.
+    """
+    s = IntNeg(phi) if deny else phi
+    w = weak_negate(s)
+    target = IntOr(s, w)
+    if isinstance(phi, IntNeg):
+        a = _excluded(b, phi.operand, not deny)
+        if not deny:
+            return a
+        with b.square(phi.operand) as s1:
+            k = b.line(s, "nn2", s1.hyp)
+            b.line(target, "ior1", k)
+        with b.square(w) as s2:
+            b.line(target, "ior2", s2.hyp)
+        return b.line(target, "eor", a, s1.span, s2.span)
+    if isinstance(phi, (IntAnd, IntOr)):
+        a = _excluded(b, phi.left, deny)
+        c = _excluded(b, phi.right, deny)
+        sl, sr = (IntNeg(phi.left), IntNeg(phi.right)) if deny else (phi.left, phi.right)
+        wl, wr = weak_negate(sl), weak_negate(sr)
+
+        def take_s(k: int) -> None:
+            # A denial is the mirror case over !psi, !chi, folded back.
+            if deny:
+                k = b.line(s, "nand2" if isinstance(phi, IntAnd) else "nor2", k)
+            b.line(target, "ior1", k)
+
+        if isinstance(phi, IntAnd) != deny:
+            # s takes both operands, w either.
+            with b.square(sl) as s1:
+                with b.square(sr) as s11:
+                    take_s(b.line(IntAnd(sl, sr), "iand", s1.hyp, s11.hyp))
+                with b.square(wr) as s12:
+                    b.line(target, "ior2", b.line(w, "ior2", s12.hyp))
+                b.line(target, "eor", c, s11.span, s12.span)
+            with b.square(wl) as s2:
+                b.line(target, "ior2", b.line(w, "ior1", s2.hyp))
+        else:
+            # s takes either operand, w both.
+            with b.square(sl) as s1:
+                take_s(b.line(IntOr(sl, sr), "ior1", s1.hyp))
+            with b.square(wl) as s2:
+                with b.square(sr) as s21:
+                    take_s(b.line(IntOr(sl, sr), "ior2", s21.hyp))
+                with b.square(wr) as s22:
+                    b.line(target, "ior2", b.line(w, "iand", s2.hyp, s22.hyp))
+                b.line(target, "eor", c, s21.span, s22.span)
+        return b.line(target, "eor", a, s1.span, s2.span)
+    # An L-formula or an implication: split on core by cem.  s holds
+    # under core -> _|_; the other case, <>core, is w or gives s.
     if is_l_formula(phi):
-        np = IntNeg(phi)
-        guard = IntImp(np, FALSUM)
-        cm = b.line(IntOr(guard, diamond(np)), "cem")
-        with b.square(guard) as s1:
+        core = phi if deny else IntNeg(phi)
+    else:
+        psi, chi = phi.left, phi.right
+        sc = IntNeg(chi) if deny else chi
+        wc = weak_negate(sc)
+        goal, other = (wc, sc) if deny else (sc, wc)
+        core = IntAnd(psi, other)
+    guard = IntImp(core, FALSUM)
+    cm = b.line(IntOr(guard, diamond(core)), "cem")
+    with b.square(guard) as s1:
+        if is_l_formula(phi) and deny:
+            with b.round(phi) as r:
+                b.line(FALSUM, "eimp", s1.hyp, r.hyp)
+            b.line(target, "ior1", b.line(s, "ineg", r.span))
+        elif is_l_formula(phi):
             with b.round(ExtNeg(phi)) as r1:
                 with b.round(phi) as r2:
                     b.line(FALSUM, "esim1", r2.hyp, r1.hyp)
-                n = b.line(np, "ineg", r2.span)
+                n = b.line(core, "ineg", r2.span)
                 b.line(FALSUM, "eimp", s1.hyp, n)
             dd = b.line(ExtNeg(ExtNeg(phi)), "isim", r1.span)
-            back = b.line(phi, "esim2", dd)
-            b.line(target, "ior1", back)
-        with b.square(w) as s2:
-            b.line(target, "ior2", s2.hyp)
-        return b.line(target, "eor", cm, s1.span, s2.span)
-    if isinstance(phi, IntNeg):
-        return emit_negation_or_negated(b, phi.operand)
-    if isinstance(phi, IntAnd):
-        psi, chi = phi.left, phi.right
-        wpsi, wchi = weak_negate(psi), weak_negate(chi)
-        a = emit_excluded_or_negated(b, psi)
-        c = emit_excluded_or_negated(b, chi)
-        with b.square(psi) as s1:
-            with b.square(chi) as s11:
-                k = b.line(IntAnd(psi, chi), "iand", s1.hyp, s11.hyp)
-                b.line(target, "ior1", k)
-            with b.square(wchi) as s12:
-                k = b.line(IntOr(wpsi, wchi), "ior2", s12.hyp)
-                b.line(target, "ior2", k)
-            b.line(target, "eor", c, s11.span, s12.span)
-        with b.square(wpsi) as s2:
-            k = b.line(IntOr(wpsi, wchi), "ior1", s2.hyp)
-            b.line(target, "ior2", k)
-        return b.line(target, "eor", a, s1.span, s2.span)
-    if isinstance(phi, IntOr):
-        psi, chi = phi.left, phi.right
-        wpsi, wchi = weak_negate(psi), weak_negate(chi)
-        a = emit_excluded_or_negated(b, psi)
-        c = emit_excluded_or_negated(b, chi)
-        with b.square(psi) as s1:
-            k = b.line(IntOr(psi, chi), "ior1", s1.hyp)
-            b.line(target, "ior1", k)
-        with b.square(wpsi) as s2:
-            with b.square(chi) as s21:
-                k = b.line(IntOr(psi, chi), "ior2", s21.hyp)
-                b.line(target, "ior1", k)
-            with b.square(wchi) as s22:
-                k = b.line(IntAnd(wpsi, wchi), "iand", s2.hyp, s22.hyp)
-                b.line(target, "ior2", k)
-            b.line(target, "eor", c, s21.span, s22.span)
-        return b.line(target, "eor", a, s1.span, s2.span)
-    if isinstance(phi, IntImp):
-        psi, chi = phi.left, phi.right
-        wchi = weak_negate(chi)
-        core = IntAnd(psi, wchi)
-        guard = IntImp(core, FALSUM)
-        cm = b.line(IntOr(guard, diamond(core)), "cem")
-        with b.square(guard) as s1:
+            b.line(target, "ior1", b.line(phi, "esim2", dd))
+        else:
+            # Under psi, chi's own law gives goal: directly, or by efq
+            # from other, which with psi makes core.
             with b.round(psi) as r:
-                c = emit_excluded_or_negated(b, chi)
-                with b.square(chi) as s11:
-                    pass
-                with b.square(wchi) as s12:
-                    k = b.line(core, "iand", r.hyp, s12.hyp)
-                    bot = b.line(FALSUM, "eimp", s1.hyp, k)
-                    b.line(chi, "efq", bot)
-                b.line(chi, "eor", c, s11.span, s12.span)
-            imp = b.line(IntImp(psi, chi), "iimp", r.span)
-            b.line(target, "ior1", imp)
-        with b.square(diamond(core)) as s2:
+                c = _excluded(b, chi, deny)
+                spans = []
+                for side in (sc, wc):
+                    with b.square(side) as sq:
+                        if side is other:
+                            k = b.line(core, "iand", r.hyp, sq.hyp)
+                            b.line(goal, "efq", b.line(FALSUM, "eimp", s1.hyp, k))
+                    spans.append(sq.span)
+                b.line(goal, "eor", c, *spans)
+            imp = b.line(IntImp(psi, goal), "iimp", r.span)
+            b.line(target, "ior2" if deny else "ior1", imp)
+    with b.square(diamond(core)) as s2:
+        if deny and not is_l_formula(phi):
+            b.line(target, "ior1", b.line(s, "nimp2", s2.hyp))
+        else:
             b.line(target, "ior2", s2.hyp)
-        return b.line(target, "eor", cm, s1.span, s2.span)
-    raise TypeError(f"not a formula: {phi!r}")
+    return b.line(target, "eor", cm, s1.span, s2.span)
 
 
-def emit_negation_or_negated(b: ProofBuilder, phi: Formula) -> int:
-    """Derive !phi | -!phi at the current depth, no premises used."""
-    np = IntNeg(phi)
-    w = weak_negate(np)
-    target = IntOr(np, w)
-    if is_l_formula(phi):
-        guard = IntImp(phi, FALSUM)
-        cm = b.line(IntOr(guard, diamond(phi)), "cem")
-        with b.square(guard) as s1:
-            with b.round(phi) as r:
-                b.line(FALSUM, "eimp", s1.hyp, r.hyp)
-            n = b.line(np, "ineg", r.span)
-            b.line(target, "ior1", n)
-        with b.square(w) as s2:
-            b.line(target, "ior2", s2.hyp)
-        return b.line(target, "eor", cm, s1.span, s2.span)
+def _clash(b: ProofBuilder, phi: Formula, at_s: int, at_w: int, deny: bool) -> int:
+    """Derive _|_ from line at_s (s) and line at_w (-s), where s is
+    phi, or !phi when deny is set.
+    """
     if isinstance(phi, IntNeg):
-        psi = phi.operand
-        a = emit_excluded_or_negated(b, psi)
-        with b.square(psi) as s1:
-            k = b.line(IntNeg(IntNeg(psi)), "nn2", s1.hyp)
-            b.line(target, "ior1", k)
-        with b.square(weak_negate(psi)) as s2:
-            b.line(target, "ior2", s2.hyp)
-        return b.line(target, "eor", a, s1.span, s2.span)
-    if isinstance(phi, IntAnd):
-        psi, chi = phi.left, phi.right
-        npsi, nchi = IntNeg(psi), IntNeg(chi)
-        wnpsi, wnchi = weak_negate(npsi), weak_negate(nchi)
-        a = emit_negation_or_negated(b, psi)
-        c = emit_negation_or_negated(b, chi)
-        with b.square(npsi) as s1:
-            k = b.line(IntOr(npsi, nchi), "ior1", s1.hyp)
-            m = b.line(np, "nand2", k)
-            b.line(target, "ior1", m)
-        with b.square(wnpsi) as s2:
-            with b.square(nchi) as s21:
-                k = b.line(IntOr(npsi, nchi), "ior2", s21.hyp)
-                m = b.line(np, "nand2", k)
-                b.line(target, "ior1", m)
-            with b.square(wnchi) as s22:
-                k = b.line(IntAnd(wnpsi, wnchi), "iand", s2.hyp, s22.hyp)
-                b.line(target, "ior2", k)
-            b.line(target, "eor", c, s21.span, s22.span)
-        return b.line(target, "eor", a, s1.span, s2.span)
-    if isinstance(phi, IntOr):
-        psi, chi = phi.left, phi.right
-        npsi, nchi = IntNeg(psi), IntNeg(chi)
-        wnpsi, wnchi = weak_negate(npsi), weak_negate(nchi)
-        a = emit_negation_or_negated(b, psi)
-        c = emit_negation_or_negated(b, chi)
-        with b.square(npsi) as s1:
-            with b.square(nchi) as s11:
-                k = b.line(IntAnd(npsi, nchi), "iand", s1.hyp, s11.hyp)
-                m = b.line(np, "nor2", k)
-                b.line(target, "ior1", m)
-            with b.square(wnchi) as s12:
-                k = b.line(IntOr(wnpsi, wnchi), "ior2", s12.hyp)
-                b.line(target, "ior2", k)
-            b.line(target, "eor", c, s11.span, s12.span)
-        with b.square(wnpsi) as s2:
-            k = b.line(IntOr(wnpsi, wnchi), "ior1", s2.hyp)
-            b.line(target, "ior2", k)
-        return b.line(target, "eor", a, s1.span, s2.span)
-    if isinstance(phi, IntImp):
-        psi, chi = phi.left, phi.right
-        nchi = IntNeg(chi)
-        wnchi = weak_negate(nchi)
-        core = IntAnd(psi, nchi)
-        guard = IntImp(core, FALSUM)
-        cm = b.line(IntOr(guard, diamond(core)), "cem")
-        with b.square(guard) as s1:
-            with b.round(psi) as r:
-                c = emit_negation_or_negated(b, chi)
-                with b.square(nchi) as s11:
-                    k = b.line(core, "iand", r.hyp, s11.hyp)
-                    bot = b.line(FALSUM, "eimp", s1.hyp, k)
-                    b.line(wnchi, "efq", bot)
-                with b.square(wnchi) as s12:
-                    pass
-                b.line(wnchi, "eor", c, s11.span, s12.span)
-            imp = b.line(IntImp(psi, wnchi), "iimp", r.span)
-            b.line(target, "ior2", imp)
-        with b.square(diamond(core)) as s2:
-            m = b.line(np, "nimp2", s2.hyp)
-            b.line(target, "ior1", m)
-        return b.line(target, "eor", cm, s1.span, s2.span)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def emit_clash(b: ProofBuilder, phi: Formula, at_phi: int, at_w: int) -> int:
-    """Derive _|_ from line at_phi (phi) and line at_w (-phi)."""
+        if deny:
+            at_s = b.line(phi.operand, "nn1", at_s)
+        return _clash(b, phi.operand, at_s, at_w, not deny)
+    if isinstance(phi, (IntAnd, IntOr)):
+        sl, sr = (IntNeg(phi.left), IntNeg(phi.right)) if deny else (phi.left, phi.right)
+        both = isinstance(phi, IntAnd) != deny
+        # A denial is the mirror case over !psi, !chi, once unfolded.
+        if deny and both:
+            at_s = b.line(IntAnd(sl, sr), "nor1", at_s)
+        elif deny:
+            at_s = b.line(IntOr(sl, sr), "nand1", at_s)
+        spans = []
+        for side, child, rule in ((sl, phi.left, "eand1"), (sr, phi.right, "eand2")):
+            if both:
+                # s gives each side; w = -sl | -sr is split.
+                with b.square(weak_negate(side)) as sq:
+                    _clash(b, child, b.line(side, rule, at_s), sq.hyp, deny)
+            else:
+                # w gives each side's -; s = sl | sr is split.
+                with b.square(side) as sq:
+                    _clash(b, child, sq.hyp, b.line(weak_negate(side), rule, at_w), deny)
+            spans.append(sq.span)
+        return b.line(FALSUM, "eor", at_w if both else at_s, *spans)
+    # An L-formula or an implication: refute core, then meet <>core.
+    at_d = at_w
     if is_l_formula(phi):
-        np = IntNeg(phi)
-        with b.round(np) as r:
-            b.line(FALSUM, "eneg", at_phi, r.hyp)
-        g = b.line(IntImp(np, FALSUM), "iimp", r.span)
-        return b.line(FALSUM, "eneg", g, at_w)
-    if isinstance(phi, IntNeg):
-        return emit_negated_clash(b, phi.operand, at_phi, at_w)
-    if isinstance(phi, IntAnd):
-        psi, chi = phi.left, phi.right
-        with b.square(weak_negate(psi)) as s1:
-            k = b.line(psi, "eand1", at_phi)
-            emit_clash(b, psi, k, s1.hyp)
-        with b.square(weak_negate(chi)) as s2:
-            k = b.line(chi, "eand2", at_phi)
-            emit_clash(b, chi, k, s2.hyp)
-        return b.line(FALSUM, "eor", at_w, s1.span, s2.span)
-    if isinstance(phi, IntOr):
-        psi, chi = phi.left, phi.right
-        with b.square(psi) as s1:
-            k = b.line(weak_negate(psi), "eand1", at_w)
-            emit_clash(b, psi, s1.hyp, k)
-        with b.square(chi) as s2:
-            k = b.line(weak_negate(chi), "eand2", at_w)
-            emit_clash(b, chi, s2.hyp, k)
-        return b.line(FALSUM, "eor", at_phi, s1.span, s2.span)
-    if isinstance(phi, IntImp):
-        psi, chi = phi.left, phi.right
-        wchi = weak_negate(chi)
-        core = IntAnd(psi, wchi)
+        core = phi if deny else IntNeg(phi)
         with b.round(core) as r:
-            m1 = b.line(psi, "eand1", r.hyp)
-            m2 = b.line(chi, "eimp", at_phi, m1)
-            m3 = b.line(wchi, "eand2", r.hyp)
-            emit_clash(b, chi, m2, m3)
-        g = b.line(IntImp(core, FALSUM), "iimp", r.span)
-        return b.line(FALSUM, "eneg", g, at_w)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def emit_negated_clash(b: ProofBuilder, phi: Formula, at_np: int, at_w: int) -> int:
-    """Derive _|_ from line at_np (!phi) and line at_w (-!phi)."""
-    if is_l_formula(phi):
-        with b.round(phi) as r:
-            b.line(FALSUM, "eneg", r.hyp, at_np)
-        g = b.line(IntImp(phi, FALSUM), "iimp", r.span)
-        return b.line(FALSUM, "eneg", g, at_w)
-    if isinstance(phi, IntNeg):
-        k = b.line(phi.operand, "nn1", at_np)
-        return emit_clash(b, phi.operand, k, at_w)
-    if isinstance(phi, IntAnd):
+            b.line(FALSUM, "eneg", *((r.hyp, at_s) if deny else (at_s, r.hyp)))
+    else:
         psi, chi = phi.left, phi.right
-        npsi, nchi = IntNeg(psi), IntNeg(chi)
-        k = b.line(IntOr(npsi, nchi), "nand1", at_np)
-        with b.square(npsi) as s1:
-            m = b.line(weak_negate(npsi), "eand1", at_w)
-            emit_negated_clash(b, psi, s1.hyp, m)
-        with b.square(nchi) as s2:
-            m = b.line(weak_negate(nchi), "eand2", at_w)
-            emit_negated_clash(b, chi, s2.hyp, m)
-        return b.line(FALSUM, "eor", k, s1.span, s2.span)
-    if isinstance(phi, IntOr):
-        psi, chi = phi.left, phi.right
-        npsi, nchi = IntNeg(psi), IntNeg(chi)
-        k = b.line(IntAnd(npsi, nchi), "nor1", at_np)
-        with b.square(weak_negate(npsi)) as s1:
-            m = b.line(npsi, "eand1", k)
-            emit_negated_clash(b, psi, m, s1.hyp)
-        with b.square(weak_negate(nchi)) as s2:
-            m = b.line(nchi, "eand2", k)
-            emit_negated_clash(b, chi, m, s2.hyp)
-        return b.line(FALSUM, "eor", at_w, s1.span, s2.span)
-    if isinstance(phi, IntImp):
-        psi, chi = phi.left, phi.right
-        nchi = IntNeg(chi)
-        core = IntAnd(psi, nchi)
-        k = b.line(diamond(core), "nimp1", at_np)
+        sc = IntNeg(chi) if deny else chi
+        wc = weak_negate(sc)
+        core = IntAnd(psi, sc if deny else wc)
+        if deny:
+            at_d = b.line(diamond(core), "nimp1", at_s)
         with b.round(core) as r:
-            m1 = b.line(psi, "eand1", r.hyp)
-            m2 = b.line(nchi, "eand2", r.hyp)
-            m3 = b.line(weak_negate(nchi), "eimp", at_w, m1)
-            emit_negated_clash(b, chi, m2, m3)
-        g = b.line(IntImp(core, FALSUM), "iimp", r.span)
-        return b.line(FALSUM, "eneg", g, k)
-    raise TypeError(f"not a formula: {phi!r}")
+            m = b.line(psi, "eand1", r.hyp)
+            if deny:
+                at_c = b.line(sc, "eand2", r.hyp)
+                at_wc = b.line(wc, "eimp", at_w, m)
+            else:
+                at_c = b.line(sc, "eimp", at_s, m)
+                at_wc = b.line(wc, "eand2", r.hyp)
+            _clash(b, chi, at_c, at_wc, deny)
+    g = b.line(IntImp(core, FALSUM), "iimp", r.span)
+    return b.line(FALSUM, "eneg", g, at_d)
 
 
 def excluded_proof(phi: Formula) -> str:
     """Premise-free proof of phi | -phi."""
     b = ProofBuilder()
-    emit_excluded_or_negated(b, phi)
-    return b.render()
-
-
-def negated_excluded_proof(phi: Formula) -> str:
-    """Premise-free proof of !phi | -!phi."""
-    b = ProofBuilder()
-    emit_negation_or_negated(b, phi)
+    _excluded(b, phi, False)
     return b.render()
 
 
@@ -366,16 +254,7 @@ def clash_proof(phi: Formula) -> str:
     b = ProofBuilder()
     p1 = b.premise(phi)
     p2 = b.premise(weak_negate(phi))
-    emit_clash(b, phi, p1, p2)
-    return b.render()
-
-
-def negated_clash_proof(phi: Formula) -> str:
-    """Proof of _|_ from premises !phi and -!phi."""
-    b = ProofBuilder()
-    p1 = b.premise(IntNeg(phi))
-    p2 = b.premise(weak_negate(IntNeg(phi)))
-    emit_negated_clash(b, phi, p1, p2)
+    _clash(b, phi, p1, p2, False)
     return b.render()
 
 
@@ -433,8 +312,8 @@ def generated_accepted() -> dict[str, str]:
     for tag, phi in cases.items():
         if tag == "atom":
             continue
-        out[f"gen_negated_excluded_{tag}.prf"] = negated_excluded_proof(phi)
-        out[f"gen_negated_clash_{tag}.prf"] = negated_clash_proof(phi)
+        out[f"gen_negated_excluded_{tag}.prf"] = excluded_proof(IntNeg(phi))
+        out[f"gen_negated_clash_{tag}.prf"] = clash_proof(IntNeg(phi))
     out["gen_excluded_mixed.prf"] = excluded_proof(parse("!(p & q) | (q -> p)"))
     return out
 

@@ -30,16 +30,17 @@ tabulated over its own worlds, each maximal extensional subformula's
 truth mask made as the build reads it.  10 is the measured crossover:
 on contexts over six atoms and formulas of 2-4 extensional leaves, the
 world tables took 0.6-0.8 of the class tables' time up to 10 worlds,
-0.9-1.7 at 12, and lost from 13 worlds on.  A wider one is evaluated
-by one walk over the formula's intensional nodes, which makes each
-maximal extensional subformula's truth mask over the context's worlds
-once (and finds every atom the context lacks).  Worlds on which all
-those masks agree form a class.  Worlds of one class are
-interchangeable in every clause, so tables over the classes, fed the
-masks by class, are exact (_ClassTables), and a context of any width
-evaluates when it has at most TABLE_WORLD_LIMIT classes (else
-ContextTooWide).  asserts reads only the assert side and denies only
-the deny side.
+0.9-1.7 at 12, and lost from 13 worlds on.  A wider one is first
+walked over the formula's intensional nodes, which makes each maximal
+extensional subformula's truth mask over the context's worlds once (and
+finds every atom the context lacks).  Worlds on which all those masks
+agree form a class.  A judgment at a subcontext then depends only on
+the classes it meets, so the context asserts or denies the formula
+exactly as its subcontext of one world per class does: the lowest
+world of each class.  It is tabulated over those worlds (_PointTables),
+so a context of any width evaluates when it has at most
+TABLE_WORLD_LIMIT classes (else ContextTooWide).  asserts reads only
+the assert side and denies only the deny side.
 
 Entailment has one search at every atom count (up to the caller's
 bound).  A safe premise persists, so a countermodel is made of kept
@@ -338,24 +339,15 @@ class _SingletonTables(ContextTables):
         return table
 
 
-class _ClassTables(ContextTables):
-    """Tables over one context (see _point_tables), given its atom masks.
-    Bit i of a position stands for the i-th of its worlds, or for the
-    i-th class of its worlds when ``truths`` comes filled with the truth
-    mask over the classes of each of the formula's maximal extensional
-    subformulas."""
+class _PointTables(ContextTables):
+    """Tables over worlds of one context (see _point_tables), given each
+    atom's mask over them: bit i of a position stands for the i-th."""
 
-    def __init__(
-        self,
-        variant: DeniabilityVariant | str,
-        width: int,
-        atom_masks: Mapping[str, int],
-        truths: dict[Formula, int],
-    ):
+    def __init__(self, variant: DeniabilityVariant | str, width: int, atom_masks: Mapping[str, int]):
         self.variant = DeniabilityVariant.coerce(variant)
         self._set_width(width)
         self._atom_masks = atom_masks
-        self._truths = truths
+        self._truths = {}
         self._tables = ({}, {})
 
     def holds(self, phi: Formula, deny: bool) -> bool:
@@ -373,15 +365,16 @@ def _unknown_atoms(phi: Formula, atoms: Iterable[str]) -> UnknownAtomError:
     return UnknownAtomError(", ".join(sorted(atoms_of(phi).difference(atoms))))
 
 
-def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | str) -> _ClassTables:
+def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | str) -> _PointTables:
     """Tables over the context's own worlds when it has at most
-    POINT_WORLD_LIMIT of them, else over the classes of its worlds that
-    agree on every maximal extensional subformula of phi (see the module
-    docstring).  Raises UnknownAtomError naming every atom of phi the
-    context lacks, then ContextTooWide past TABLE_WORLD_LIMIT classes."""
+    POINT_WORLD_LIMIT of them, else over one world of each class of its
+    worlds that agree on every maximal extensional subformula of phi (see
+    the module docstring).  Raises UnknownAtomError naming every atom of
+    phi the context lacks, then ContextTooWide past TABLE_WORLD_LIMIT
+    classes."""
     worlds, masks = context._index()
     if len(worlds) <= POINT_WORLD_LIMIT:
-        return _ClassTables(variant, len(worlds), masks, {})
+        return _PointTables(variant, len(worlds), masks)
     full = (1 << len(worlds)) - 1
     # One walk over phi's intensional nodes: the truth mask over the
     # context's worlds of each of its maximal extensional subformulas.
@@ -401,12 +394,9 @@ def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | 
         classes = [part for c in classes for part in (c & t, c & ~t) if part]
     if len(classes) > TABLE_WORLD_LIMIT:
         raise ContextTooWide(len(classes), TABLE_WORLD_LIMIT)
-    # Re-index each truth mask by class: class j takes the value at its
-    # lowest world, of rank reps[j].
-    reps = [(c & -c).bit_length() - 1 for c in classes]
-    for leaf, t in truths.items():
-        truths[leaf] = sum((t >> r & 1) << j for j, r in enumerate(reps))
-    return _ClassTables(variant, len(classes), masks, truths)
+    # Keep the lowest world of each class, whose rank is its class's low bit.
+    reps = [worlds[(c & -c).bit_length() - 1] for c in classes]
+    return _PointTables(variant, len(classes), _atom_masks(context.atoms, reps))
 
 
 def evaluate(

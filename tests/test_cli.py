@@ -10,7 +10,7 @@ import lad
 from lad.cli import main
 from lad.contexts import parse_context
 from lad.corpus import ILLEGAL_PROOF, MURDER_CONTEXT, REJECTED_PROOFS
-from lad.semantics import ContextTables, _ClassTables
+from lad.semantics import ContextTables, _PointTables
 
 MURDER_SEQUENT = [
     "p \\/ q",
@@ -134,7 +134,7 @@ class TestEval:
         # context's worlds answers both the assert and the deny pass,
         # and no other tables are built.
         built = []
-        for cls in (ContextTables, _ClassTables):
+        for cls in (ContextTables, _PointTables):
             def counting_init(self, *args, _init=cls.__init__, **kwargs):
                 built.append(self)
                 _init(self, *args, **kwargs)

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import pytest
@@ -272,6 +273,19 @@ class TestCorpusFiles:
         shipped = sorted(p.name for p in (self.SHIPPED / "proofs").iterdir())
         assert shipped == sorted(listed)
 
+    def test_frozen_benchmark_proofs_match_generator(self):
+        # perfbench/data/proofs.json froze the generators' output on
+        # formulas of up to 40 nodes, beyond the shipped gen_*.prf files.
+        frozen = json.loads(
+            (pathlib.Path(__file__).parents[1] / "perfbench" / "data" / "proofs.json").read_text()
+        )
+        build = {"excluded": corpus.excluded_proof, "clash": corpus.clash_proof}
+        for entry in frozen["pool"]:
+            assert build[entry["kind"]](parse(entry["formula"])) == entry["text"], entry["formula"]
+        texts = {**corpus.ACCEPTED_PROOFS, **corpus.generated_accepted()}
+        for entry in frozen["accepted"]:
+            assert texts[entry["name"]] == entry["text"], entry["name"]
+
 
 class TestCorpusRejected:
     @pytest.mark.parametrize("name", sorted(corpus.REJECTED_PROOFS))
@@ -379,19 +393,15 @@ class TestGenerators:
     @given(star_formulas(("p", "q"), max_leaves=4))
     @settings(max_examples=60, deadline=None)
     def test_all_generators_check(self, phi):
-        for gen in (
-            corpus.excluded_proof,
-            corpus.negated_excluded_proof,
-            corpus.clash_proof,
-            corpus.negated_clash_proof,
-        ):
+        for gen in (corpus.excluded_proof, corpus.clash_proof):
             assert check(parse_proof(gen(phi))).ok
+            assert check(parse_proof(gen(IntNeg(phi)))).ok
 
     @given(star_formulas(("p", "q"), max_leaves=3))
     @settings(max_examples=20, deadline=None)
     def test_generated_proofs_are_sound(self, phi):
-        doc = parse_proof(corpus.excluded_proof(phi))
-        assert verify_sound(doc)
+        for gen in (corpus.excluded_proof, corpus.clash_proof):
+            assert verify_sound(parse_proof(gen(phi)))
 
 
 # One accepted instance and one near miss per rule.  Each near miss is
@@ -560,14 +570,12 @@ def perturbed_lines(draw):
     rule, cited formulas and conclusion varied.  Two of the three rule
     choices keep the arity, so most draws get past the arity check into
     the schema itself."""
-    gen = draw(st.sampled_from([
-        corpus.excluded_proof, corpus.negated_excluded_proof,
-        corpus.clash_proof, corpus.negated_clash_proof, None,
-    ]))
+    gen = draw(st.sampled_from([corpus.excluded_proof, corpus.clash_proof, None]))
     if gen is None:
         text = draw(st.sampled_from(_STATIC_PROOFS))
     else:
-        text = gen(draw(star_formulas(("p", "q"), max_leaves=3)))
+        phi = draw(star_formulas(("p", "q"), max_leaves=3))
+        text = gen(IntNeg(phi) if draw(st.booleans()) else phi)
     doc = parse_proof(text)
     body = [l for l in doc.lines if l.rule not in ("premise", "hyp")]
     line = draw(st.sampled_from(body))

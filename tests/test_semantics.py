@@ -374,9 +374,9 @@ class TestPointEvaluation:
             assert (asserts(ctx, phi, variant), denies(ctx, phi, variant)) == want
 
     def test_world_tables_up_to_the_bound(self):
-        # At the bound a position bit stands for a world; one past it, for
-        # a class, and BOUND_FORMULA's leaves p, q and r \/ ~s cut the 11
-        # worlds into 7.
+        # At the bound the tables span every world; one past it, one world
+        # of each class, and BOUND_FORMULA's leaves p, q and r \/ ~s cut
+        # the 11 worlds into 7 classes.
         assert len(AT_THE_BOUND) == POINT_WORLD_LIMIT
         assert _point_tables(AT_THE_BOUND, BOUND_FORMULA, "gauker").n_worlds == POINT_WORLD_LIMIT
         assert _point_tables(PAST_THE_BOUND, BOUND_FORMULA, "gauker").n_worlds == 7
