@@ -20,7 +20,7 @@ from .records import Record, _set
 
 # The largest atom count an entailment search accepts unless told otherwise.
 DEFAULT_ATOM_BOUND = 4
-# Bytes of a context's member bit set that Context._index decodes at once.
+# Bytes of a bit set that _bit_positions decodes at once.
 _DECODE_BLOCK = 4096
 
 
@@ -106,10 +106,10 @@ class Context(Record):
     """A nonempty set of worlds over one sorted atom tuple.
 
     members is a bit set over world indices (bit i set means the world
-    with index i belongs to the context).  The member world indices and
-    each atom's truth mask over them are made on first use (_index) and
-    kept in a slot that is not a field, so repr, ==, hash and pickling
-    never see them.
+    with index i belongs to the context).  The member world indices,
+    each atom's truth mask over them and evaluation's tables are made on
+    first use (_index) and kept in a slot that is not a field, so repr,
+    ==, hash and pickling never see them.
     """
 
     __match_args__ = ("atoms", "members")
@@ -126,29 +126,17 @@ class Context(Record):
         _set(self, "atoms", atoms)
         _set(self, "members", members)
 
-    def _index(self) -> tuple[tuple[int, ...], dict[str, int]]:
-        """(worlds, masks): the member world indices, ascending, and each
-        atom's truth mask over them (_atom_masks).  Made once per context:
-        evaluation, worlds() and len() all read it."""
+    def _index(self) -> tuple[tuple[int, ...], dict[str, int], dict]:
+        """(worlds, masks, tables): the member world indices, ascending,
+        each atom's truth mask over them (_atom_masks), and an empty dict
+        in which evaluation keeps its tables over those worlds.  Made once
+        per context: evaluation, worlds() and len() all read it."""
         try:
             return self._cache
         except AttributeError:
             pass
-        # One scan of the binary digits, block by block so that a sparse
-        # set over many worlds makes no string the size of its bit length;
-        # in a block, the lowest world (last digit) first.
-        data = self.members.to_bytes((self.members.bit_length() + 7) // 8, "little")
-        worlds = []
-        for start in range(0, len(data), _DECODE_BLOCK):
-            block = int.from_bytes(data[start:start + _DECODE_BLOCK], "little")
-            if block:
-                bits = bin(block)
-                top = 8 * start + len(bits) - 1
-                i = bits.rfind("1")
-                while i >= 0:
-                    worlds.append(top - i)
-                    i = bits.rfind("1", 0, i)
-        index = tuple(worlds), _atom_masks(self.atoms, worlds)
+        worlds = _bit_positions(self.members)
+        index = tuple(worlds), _atom_masks(self.atoms, worlds), {}
         _set_cache(self, index)
         return index
 
@@ -193,6 +181,25 @@ class Context(Record):
 
 
 _set_cache = Context._cache.__set__
+
+
+def _bit_positions(bits: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, ascending."""
+    # One scan of the binary digits, block by block so that a sparse set
+    # over many positions makes no string the size of its bit length; in
+    # a block, the lowest position (last digit) first.
+    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    out = []
+    for start in range(0, len(data), _DECODE_BLOCK):
+        block = int.from_bytes(data[start:start + _DECODE_BLOCK], "little")
+        if block:
+            digits = bin(block)
+            top = 8 * start + len(digits) - 1
+            i = digits.rfind("1")
+            while i >= 0:
+                out.append(top - i)
+                i = digits.rfind("1", 0, i)
+    return out
 
 
 def _atom_masks(atoms: Sequence[str], worlds: Sequence[int]) -> dict[str, int]:

@@ -27,7 +27,13 @@ list and each atom's truth mask over those worlds (Context._index),
 which every later evaluation of it reuses, whatever the formula or
 variant.  A context of at most POINT_WORLD_LIMIT (10) worlds is
 tabulated over its own worlds, each maximal extensional subformula's
-truth mask made as the build reads it.  10 is the measured crossover:
+truth mask made as the build reads it.  Those tables depend on the
+context and the variant alone, so the context keeps one family of them
+per variant in the same cache: every later asserts, denies or evaluate
+on it reads each subformula table and leaf truth mask already made,
+whatever formula asked for it.  A family that grows past
+_FAMILY_ENTRY_LIMIT entries starts afresh, so a context kept for the
+life of a process holds a bounded cache.  10 is the measured crossover:
 on contexts over six atoms and formulas of 2-4 extensional leaves, the
 world tables took 0.6-0.8 of the class tables' time up to 10 worlds,
 0.9-1.7 at 12, and lost from 13 worlds on.  A wider one is first
@@ -58,7 +64,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from .contexts import DEFAULT_ATOM_BOUND, Context, DeniabilityVariant, World, _atom_masks
+from .contexts import DEFAULT_ATOM_BOUND, Context, DeniabilityVariant, World, _atom_masks, _bit_positions
 from .formulas import (
     Atom,
     ExtAnd,
@@ -86,6 +92,9 @@ SEARCH_WORLD_STEP = 4
 # Point evaluation tabulates a context of at most this many worlds over
 # its own worlds, a wider one over classes (see the module docstring).
 POINT_WORLD_LIMIT = 10
+# Memo entries (tables and truth masks) one context's tables for one
+# variant hold before they start afresh.
+_FAMILY_ENTRY_LIMIT = 4096
 
 
 class UnknownAtomError(Exception):
@@ -341,7 +350,9 @@ class _SingletonTables(ContextTables):
 
 class _PointTables(ContextTables):
     """Tables over worlds of one context (see _point_tables), given each
-    atom's mask over them: bit i of a position stands for the i-th."""
+    atom's mask over them: bit i of a position stands for the i-th.
+    A judgment that leaves more than _FAMILY_ENTRY_LIMIT memo entries
+    empties them all, so the tables start afresh."""
 
     def __init__(self, variant: DeniabilityVariant | str, width: int, atom_masks: Mapping[str, int]):
         self.variant = DeniabilityVariant.coerce(variant)
@@ -358,6 +369,14 @@ class _PointTables(ContextTables):
             # Over worlds the leaves' truths are made as the build reads
             # them, so the first atom missing stops it: name them all.
             raise _unknown_atoms(phi, self._atom_masks) from None
+        finally:
+            if self._entries() > _FAMILY_ENTRY_LIMIT:
+                self._truths.clear()
+                self._tables[0].clear()
+                self._tables[1].clear()
+
+    def _entries(self) -> int:
+        return len(self._truths) + len(self._tables[0]) + len(self._tables[1])
 
 
 def _unknown_atoms(phi: Formula, atoms: Iterable[str]) -> UnknownAtomError:
@@ -366,15 +385,23 @@ def _unknown_atoms(phi: Formula, atoms: Iterable[str]) -> UnknownAtomError:
 
 
 def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | str) -> _PointTables:
-    """Tables over the context's own worlds when it has at most
-    POINT_WORLD_LIMIT of them, else over one world of each class of its
-    worlds that agree on every maximal extensional subformula of phi (see
-    the module docstring).  Raises UnknownAtomError naming every atom of
-    phi the context lacks, then ContextTooWide past TABLE_WORLD_LIMIT
-    classes."""
-    worlds, masks = context._index()
+    """The context's own family of tables over its worlds for the variant
+    when it has at most POINT_WORLD_LIMIT of them, else new tables over
+    one world of each class of its worlds that agree on every maximal
+    extensional subformula of phi (see the module docstring).  Raises
+    UnknownAtomError naming every atom of phi the context lacks, then
+    ContextTooWide past TABLE_WORLD_LIMIT classes."""
+    worlds, masks, families = context._index()
     if len(worlds) <= POINT_WORLD_LIMIT:
-        return _PointTables(variant, len(worlds), masks)
+        # Keyed by the variant as given, so that a call naming it by its
+        # value skips the enum's lookup; the name and the member share
+        # one family.
+        tab = families.get(variant)
+        if tab is None:
+            member = DeniabilityVariant.coerce(variant)
+            tab = families.get(member) or _PointTables(member, len(worlds), masks)
+            families[variant] = families[member] = tab
+        return tab
     full = (1 << len(worlds)) - 1
     # One walk over phi's intensional nodes: the truth mask over the
     # context's worlds of each of its maximal extensional subformulas.
@@ -438,7 +465,7 @@ def _kept_worlds(
     for p in premises:
         if is_safe(p):
             kept &= single.assert_table(p)
-    return [w for w in single.worlds if kept >> w & 1]
+    return _bit_positions(kept)
 
 
 def countermodel(

@@ -34,7 +34,7 @@ SELF_IMPLICATION = "((s -> t) -> q) -> ((s -> t) -> q)"
 FULL_FIVE_ATOM_CONTEXT = "p q r s t\n" + "".join(f"{w:05b}\n" for w in range(32))
 
 
-def run_lad(argv, env=None, stdin="", preexec_fn=None):
+def run_lad(argv, env=None, stdin="", preexec_fn=None, timeout=120):
     """Run ``python -m lad`` in a fresh process on this checkout's source."""
     src = str(pathlib.Path(lad.__file__).resolve().parents[1])
     return subprocess.run(
@@ -43,7 +43,7 @@ def run_lad(argv, env=None, stdin="", preexec_fn=None):
         input=stdin,
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
         preexec_fn=preexec_fn,
     )
 
@@ -130,8 +130,8 @@ class TestEval:
         assert code == 2 and "error:" in err
 
     def test_one_evaluator_for_both_passes(self, capsys, murder_file, monkeypatch):
-        # Each formula is evaluated once: one set of tables over the
-        # context's worlds answers both the assert and the deny pass,
+        # One family of tables over the context's worlds, kept by the
+        # context, answers the assert and the deny pass of both formulas,
         # and no other tables are built.
         built = []
         for cls in (ContextTables, _PointTables):
@@ -141,7 +141,7 @@ class TestEval:
 
             monkeypatch.setattr(cls, "__init__", counting_init)
         code, _, _ = run(capsys, "eval", murder_file, "p -> (r -> t)", "!(q -> s)")
-        assert code == 0 and len(built) == 2
+        assert code == 0 and len(built) == 1
 
     def test_few_worlds_over_36_atoms_under_a_memory_cap(self, tmp_path):
         # members is 3, but a bound of 1 << 2**36 on it would be an 8 GB
@@ -495,6 +495,20 @@ class TestSearchBound:
         # valid, so every width up to 20 is searched.
         child = run_lad(["entail", "--atom-bound", "5", "p => (q /\\ r)", SELF_IMPLICATION])
         assert (child.returncode, child.stdout, child.stderr) == (0, "valid\n", "")
+
+    def test_kept_worlds_over_twenty_atoms_decoded_in_time(self):
+        # The premise keeps the 1,024 of the 2**20 worlds where a00 ... a09
+        # hold, and the first 24 hold no countermodel.  Reading the kept
+        # worlds off their 2**20-bit set one shift at a time took about
+        # 15 s; one scan of its digits leaves the search about 1 s.
+        premise = " /\\ ".join(f"a{i:02}" for i in range(10))
+        conclusion = "(" + " \\/ ".join(f"a{i:02}" for i in range(10, 20)) + ") -> a00"
+        child = run_lad(["--atom-bound", "20", "entail", premise, conclusion], timeout=8)
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr.splitlines() == [
+            "error: no countermodel among the first 24 of 1024 kept worlds; "
+            "contexts over more than 24 worlds are past the search limit"
+        ]
 
 
 class TestWideContexts:

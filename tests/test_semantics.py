@@ -23,6 +23,7 @@ from lad.formulas import (
     IntNeg,
     IntOr,
     LayerError,
+    atoms_of,
     cup_chain,
     diamond,
     is_safe,
@@ -35,6 +36,7 @@ from lad.semantics import (
     TABLE_WORLD_LIMIT,
     UnknownAtomError,
     WorldLimitExceeded,
+    _FAMILY_ENTRY_LIMIT,
     _SingletonTables,
     _index_bit_mask,
     _kept_worlds,
@@ -338,14 +340,22 @@ def point_queries(draw):
     return Context(atoms, sum(1 << w for w in worlds)), phi
 
 
+JUDGES = (asserts, denies, evaluate)
+
+
 @st.composite
 def point_sessions(draw):
     """A context of 1-12 worlds over 1-5 atoms, and a drawn order of
-    (formula, variant) queries: each of 2-4 formulas under each variant."""
+    (formula, variant, judges) queries: each of 2-4 formulas under each
+    variant, asked of asserts, denies and evaluate in a drawn order.  One
+    more formula, over p-u, may name atoms the context lacks."""
     atoms = ("p", "q", "r", "s", "t")[: draw(st.integers(1, 5))]
     worlds = draw(st.sets(st.integers(0, (1 << len(atoms)) - 1), min_size=1, max_size=12))
     phis = draw(st.lists(star_formulas(atoms, max_leaves=4), min_size=2, max_size=4))
-    queries = draw(st.permutations([(phi, v) for phi in phis for v in VARIANTS]))
+    phis += draw(st.lists(star_formulas(("p", "q", "r", "s", "t", "u"), max_leaves=4), max_size=1))
+    queries = draw(st.permutations([
+        (phi, v, draw(st.permutations(JUDGES))) for phi in phis for v in VARIANTS
+    ]))
     return Context(atoms, sum(1 << w for w in worlds)), queries
 
 
@@ -384,14 +394,41 @@ class TestPointEvaluation:
     @settings(max_examples=60, deadline=None)
     @given(point_sessions())
     def test_one_context_answers_queries_in_any_order(self, session):
-        # The context's world list and atom masks, made on its first
-        # evaluation, serve every later query whatever its formula or variant.
+        # The context's world list, atom masks and tables, made as its
+        # evaluations read them, serve every later query whatever its
+        # formula, variant or judgment, also after a query that names
+        # atoms the context lacks.
         ctx, queries = session
-        for phi, variant in queries:
+        for phi, variant, judges in queries:
+            missing = atoms_of(phi).difference(ctx.atoms)
+            if missing:
+                for judge in judges:
+                    with pytest.raises(UnknownAtomError) as info:
+                        judge(ctx, phi, variant)
+                    assert str(info.value) == ", ".join(sorted(missing))
+                continue
             ev = PointEvaluator(ctx.atoms, variant)
             want = (ev.asserts(ctx.members, phi), ev.denies(ctx.members, phi))
-            assert (asserts(ctx, phi, variant), denies(ctx, phi, variant)) == want
-            assert evaluate(ctx, phi, variant) == want
+            for judge in judges:
+                assert judge(ctx, phi, variant) == {asserts: want[0], denies: want[1], evaluate: want}[judge]
+
+    def test_a_context_keeps_one_bounded_family_per_variant(self):
+        # More distinct formulas than the family holds entries: each is
+        # answered from the one family, which starts afresh when it passes
+        # the limit and so never holds more.
+        ctx = Context(("p", "q"), 0b1101)
+        phis = enumerate_star(ctx.atoms, 6)[: _FAMILY_ENTRY_LIMIT + 1]
+        family = _point_tables(ctx, phis[0], "connexive")
+        assert _point_tables(ctx, phis[0], "nelson") is not family
+        ev = PointEvaluator(ctx.atoms, "connexive")
+        sizes = []
+        for phi in phis:
+            want = (ev.asserts(ctx.members, phi), ev.denies(ctx.members, phi))
+            assert evaluate(ctx, phi, DeniabilityVariant.CONNEXIVE) == want
+            assert _point_tables(ctx, phi, "connexive") is family
+            sizes.append(family._entries())
+        assert max(sizes) <= _FAMILY_ENTRY_LIMIT
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
     @pytest.mark.parametrize(
         "ctx", [AT_THE_BOUND, Context.full(("p", "q", "r", "s", "t"))], ids=["worlds", "classes"]
