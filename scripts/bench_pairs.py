@@ -15,6 +15,12 @@ Each pair becomes one record in ``--out``: the workload, seed, seconds,
 order, and per side the calibration time, ``correct``, ``failed`` and
 the five end-to-end metrics.  An existing file is extended, so one file
 can gather the pairs of several workloads.
+
+After its pairs the script prints, for each metric over every pair of
+the workload in ``--out``: the base and head medians, each side's
+quartiles (inclusive method), the relative change, how many pairs the
+head won (higher throughput, lower everything else), and the gap
+between the medians against the base's interquartile distance.
 """
 from __future__ import annotations
 
@@ -23,11 +29,13 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 METRICS = ("throughput_ops_s", "latency_p50_ms", "latency_p90_ms", "peak_rss_mb", "setup_s")
+HIGHER_IS_BETTER = {"throughput_ops_s"}
 CALIBRATION = (
     "import time\n"
     "t = time.perf_counter()\n"
@@ -60,6 +68,33 @@ def run_side(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -
         "failed": result["failed"],
         "metrics": {m: result["metrics"][m]["value"] for m in METRICS},
     }
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summary(pairs: list[dict], workload: str) -> list[str]:
+    """One line per metric over the workload's pairs (see the module docstring)."""
+    rows = [p for p in pairs if p["workload"] == workload]
+    lines = []
+    for m in METRICS:
+        base = [p["base"]["metrics"][m] for p in rows]
+        head = [p["head"]["metrics"][m] for p in rows]
+        b1, b2, b3 = quartiles(base)
+        h1, h2, h3 = quartiles(head)
+        higher = m in HIGHER_IS_BETTER
+        won = sum(h > b if higher else h < b for b, h in zip(base, head))
+        lines.append(
+            f"{workload} {m}: base {b2:.4g} [{b1:.4g}, {b3:.4g}] -> head {h2:.4g} "
+            f"[{h1:.4g}, {h3:.4g}] ({h2 / b2 - 1:+.1%}), head better in {won}/{len(rows)} "
+            f"pairs, median gap {abs(h2 - b2):.4g} against base IQR {b3 - b1:.4g}"
+        )
+    return lines
 
 
 def main() -> int:
@@ -98,6 +133,7 @@ def main() -> int:
               f"{b['throughput_ops_s']:.1f} -> {h['throughput_ops_s']:.1f}, p50 "
               f"{b['latency_p50_ms']:.3f} -> {h['latency_p50_ms']:.3f} ms", flush=True)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print("\n".join(summary(doc["pairs"], args.workload)))
     return 0
 
 

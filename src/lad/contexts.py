@@ -47,9 +47,17 @@ class DeniabilityVariant(enum.Enum):
 
     @classmethod
     def coerce(cls, value: "DeniabilityVariant | str") -> "DeniabilityVariant":
-        if isinstance(value, cls):
-            return value
-        return cls(value)
+        """The member itself or the member of that value; anything else
+        raises the ValueError that cls(value) raises."""
+        try:
+            return _VARIANT_OF[value]
+        except (KeyError, TypeError):
+            return cls(value)
+
+
+# Each variant by itself and by its value, for coerce: one dict lookup
+# where Enum.__call__ costs about twenty times as much.
+_VARIANT_OF = {**{v: v for v in DeniabilityVariant}, **{v.value: v for v in DeniabilityVariant}}
 
 
 class World(Record):

@@ -61,7 +61,7 @@ class _Unary(Formula):
     _ext_op: str | None = None  # extensional symbol: the operand must be in L
 
     def __init__(self, operand: Formula):
-        if self._ext_op is not None and not isinstance(operand, _L_ROOTS):
+        if self._ext_op is not None and operand.__class__ not in _L_TYPES:
             _require_l(operand, self._ext_op)
         _set_operand(self, operand)
         _set_hash(self, hash((self.__class__, operand._hash)))
@@ -84,7 +84,7 @@ class _Binary(Formula):
     def __init__(self, left: Formula, right: Formula):
         # is_l_formula written out: the common case makes no call.
         if self._ext_op is not None and not (
-            isinstance(left, _L_ROOTS) and isinstance(right, _L_ROOTS)
+            left.__class__ in _L_TYPES and right.__class__ in _L_TYPES
         ):
             _require_l(left, self._ext_op)
             _require_l(right, self._ext_op)
@@ -182,7 +182,9 @@ class IntImp(_Binary):
     __slots__ = ()
 
 
-_L_ROOTS = (Atom, Falsum, ExtNeg, ExtAnd, ExtOr, ExtImp)
+# The node classes, for dispatch on a node's exact class: no node class
+# is subclassed.
+_L_TYPES = frozenset((Atom, Falsum, ExtNeg, ExtAnd, ExtOr, ExtImp))
 _BINARY_TYPES = frozenset((ExtAnd, ExtOr, ExtImp, IntAnd, IntOr, IntImp))
 _UNARY_TYPES = frozenset((ExtNeg, IntNeg))
 
@@ -228,21 +230,29 @@ def is_l_formula(phi: Formula) -> bool:
     Because extensional constructors reject non-L operands, checking the
     root suffices: an L-rooted node can only contain L-formulas.
     """
-    return isinstance(phi, _L_ROOTS)
+    return phi.__class__ in _L_TYPES
 
 
 def atoms_of(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, Atom):
-        return frozenset((phi.name,))
+    # Descend into one child of each node and stack only the other, as
+    # _same does; the node classes are the closed set above.
     out: set[str] = set()
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
+    stack = []
+    node = phi
+    while True:
+        cls = node.__class__
+        if cls in _BINARY_TYPES:
+            stack.append(node.right)
+            node = node.left
+            continue
+        if cls in _UNARY_TYPES:
+            node = node.operand
+            continue
+        if cls is Atom:
             out.add(node.name)
-        else:
-            stack.extend(node.children())
-    return frozenset(out)
+        if not stack:
+            return frozenset(out)
+        node = stack.pop()
 
 
 def size(phi: Formula) -> int:

@@ -48,17 +48,21 @@ so a context of any width evaluates when it has at most
 TABLE_WORLD_LIMIT classes (else ContextTooWide).  asserts reads only
 the assert side and denies only the deny side.
 
-Entailment has one search at every atom count (up to the caller's
-bound).  A safe premise persists, so a countermodel is made of kept
+Entailment reads the least countermodel off one table family: the
+lowest set bit of the contexts that assert every premise and not the
+conclusion.  Up to TABLE_ATOM_LIMIT atoms that family spans every
+context, so each formula is walked once.  Past that (up to the caller's
+bound) a safe premise persists, so a countermodel is made of kept
 worlds, those whose singleton context asserts every safe premise.
 They come from the same clauses run over the singleton contexts of all
-worlds at once (_SingletonTables).  The search builds tables over the
-first 4 kept worlds, then the first 8, 12 and so on, and stops at the
-first width that holds a countermodel.  Any context holding a later
+worlds at once (_SingletonTables, each atom's mask over every world
+made in closed form by _space_masks).  The search builds tables over
+the first 4 kept worlds, then the first 8, 12 and so on, and stops at
+the first width that holds a countermodel.  Any context holding a later
 kept world is numerically larger than every context of earlier ones,
-so the least countermodel found this way is the least one overall.
-Tables stop at TABLE_WORLD_LIMIT worlds; past that, a search that has
-found nothing raises WorldLimitExceeded.
+so the least countermodel found this way is the least one overall, as
+it is over every context.  Tables stop at TABLE_WORLD_LIMIT worlds;
+past that, a search that has found nothing raises WorldLimitExceeded.
 """
 from __future__ import annotations
 
@@ -66,6 +70,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .contexts import DEFAULT_ATOM_BOUND, Context, DeniabilityVariant, World, _atom_masks, _bit_positions
 from .formulas import (
+    _L_TYPES,
     Atom,
     ExtAnd,
     ExtImp,
@@ -79,7 +84,6 @@ from .formulas import (
     IntOr,
     LayerError,
     atoms_of,
-    is_l_formula,
     is_safe,
 )
 from .transforms import mu_c, xi_x
@@ -144,23 +148,22 @@ class ContextTooWide(Exception):
 def _truth_mask(alpha: Formula, atom_masks: Mapping[str, int], full: int) -> int:
     """Bit set of the worlds where the extensional alpha is true, given
     each atom's bit set and the set of all the worlds."""
-    if isinstance(alpha, Atom):
+    cls = alpha.__class__
+    if cls is Atom:
         try:
             return atom_masks[alpha.name]
         except KeyError:
             raise UnknownAtomError(alpha.name) from None
-    if isinstance(alpha, Falsum):
-        return 0
-    if isinstance(alpha, ExtNeg):
+    if cls is ExtAnd:
+        return _truth_mask(alpha.left, atom_masks, full) & _truth_mask(alpha.right, atom_masks, full)
+    if cls is ExtOr:
+        return _truth_mask(alpha.left, atom_masks, full) | _truth_mask(alpha.right, atom_masks, full)
+    if cls is ExtNeg:
         return full ^ _truth_mask(alpha.operand, atom_masks, full)
-    if isinstance(alpha, (ExtAnd, ExtOr, ExtImp)):
-        left = _truth_mask(alpha.left, atom_masks, full)
-        right = _truth_mask(alpha.right, atom_masks, full)
-        if isinstance(alpha, ExtAnd):
-            return left & right
-        if isinstance(alpha, ExtOr):
-            return left | right
-        return (full ^ left) | right
+    if cls is ExtImp:
+        return (full ^ _truth_mask(alpha.left, atom_masks, full)) | _truth_mask(alpha.right, atom_masks, full)
+    if cls is Falsum:
+        return 0
     raise LayerError("truth at a world is defined for extensional formulas only")
 
 
@@ -181,6 +184,13 @@ def _index_bit_mask(width: int, k: int) -> int:
         mask |= mask << period
         period <<= 1
     return mask
+
+
+def _space_masks(atoms: Sequence[str]) -> dict[str, int]:
+    """Each atom's truth mask over all 2**n worlds by index: atom j is
+    bit n - 1 - j of a world's index (the first atom most significant)."""
+    n = len(atoms)
+    return {name: _index_bit_mask(n, n - 1 - j) for j, name in enumerate(atoms)}
 
 
 # For each world bit b, the context positions whose bit b is clear, at
@@ -217,21 +227,23 @@ class ContextTables:
                     f"query spans {self.n} atoms; tables over every context stop at "
                     f"{TABLE_ATOM_LIMIT} atoms, whatever the atom bound",
                 )
-            worlds = range(1 << self.n)
-        self.worlds = tuple(worlds)
-        if not (
-            0 < len(self.worlds) <= TABLE_WORLD_LIMIT
-            and 0 <= self.worlds[0]
-            and self.worlds[-1] < 1 << self.n
-            and all(a < b for a, b in zip(self.worlds, self.worlds[1:]))
-        ):
-            raise ValueError(
-                f"worlds must be 1 to {TABLE_WORLD_LIMIT} strictly increasing "
-                f"world indices below {1 << self.n}"
-            )
+            self.worlds = range(1 << self.n)
+            self._atom_masks = _space_masks(self.atoms)
+        else:
+            self.worlds = tuple(worlds)
+            if not (
+                0 < len(self.worlds) <= TABLE_WORLD_LIMIT
+                and 0 <= self.worlds[0]
+                and self.worlds[-1] < 1 << self.n
+                and all(a < b for a, b in zip(self.worlds, self.worlds[1:]))
+            ):
+                raise ValueError(
+                    f"worlds must be 1 to {TABLE_WORLD_LIMIT} strictly increasing "
+                    f"world indices below {1 << self.n}"
+                )
+            self._atom_masks = _atom_masks(self.atoms, self.worlds)
         self.variant = DeniabilityVariant.coerce(variant)
         self._set_width(len(self.worlds))
-        self._atom_masks = _atom_masks(self.atoms, self.worlds)
         self._truths: dict[Formula, int] = {}
         # The assert tables and the deny tables, each built on demand.
         self._tables: tuple[dict[Formula, int], dict[Formula, int]] = ({}, {})
@@ -254,14 +266,6 @@ class ContextTables:
             if position >> i & 1:
                 out |= 1 << w
         return out
-
-    def l_truth_mask(self, alpha: Formula) -> int:
-        """Bit set of table worlds, by rank, where the extensional alpha
-        is true; made once, whichever side reads it first."""
-        t = self._truths.get(alpha)
-        if t is None:
-            t = self._truths[alpha] = _truth_mask(alpha, self._atom_masks, self.full_worlds)
-        return t
 
     def _leaf(self, t: int) -> int:
         """Assert table of an extensional formula true at the table worlds
@@ -296,18 +300,17 @@ class ContextTables:
         return table
 
     def _build(self, phi: Formula, deny: bool) -> int:
-        if is_l_formula(phi):
-            t = self.l_truth_mask(phi)
+        cls = phi.__class__
+        if cls in _L_TYPES:
+            # A leaf's truth mask over the table worlds, by rank, is made
+            # once, whichever side reads it first.
+            t = self._truths.get(phi)
+            if t is None:
+                t = self._truths[phi] = _truth_mask(phi, self._atom_masks, self.full_worlds)
             return self._leaf(self.full_worlds ^ t if deny else t)
-        if isinstance(phi, IntNeg):
+        if cls is IntNeg:
             return self.table(phi.operand, not deny)
-        if isinstance(phi, (IntAnd, IntOr)):
-            left = self.table(phi.left, deny)
-            right = self.table(phi.right, deny)
-            # Asserting a conjunction or denying a disjunction takes both
-            # operands; the other two judgments take either.
-            return left & right if isinstance(phi, IntAnd) != deny else left | right
-        if isinstance(phi, IntImp):
+        if cls is IntImp:
             a1 = self.table(phi.left, False)
             if not deny:
                 bad = a1 & (self.universe ^ self.table(phi.right, False))
@@ -319,6 +322,12 @@ class ContextTables:
                 undeny = a1 & (self.universe ^ d2)
                 return self.nonempty & (self.universe ^ self.has_subset(undeny))
             return self.has_subset(a1 & d2) & self.nonempty
+        if cls is IntAnd or cls is IntOr:
+            left = self.table(phi.left, deny)
+            right = self.table(phi.right, deny)
+            # Asserting a conjunction or denying a disjunction takes both
+            # operands; the other two judgments take either.
+            return left & right if (cls is IntAnd) != deny else left | right
         raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -337,7 +346,7 @@ class _SingletonTables(ContextTables):
         self.variant = variant
         self.worlds = range(1 << len(atoms))
         self.full_worlds = self.universe = self.nonempty = (1 << len(self.worlds)) - 1
-        self._atom_masks = _atom_masks(atoms, self.worlds)
+        self._atom_masks = _space_masks(atoms)
         self._truths = {}
         self._tables = ({}, {})
 
@@ -393,14 +402,10 @@ def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | 
     ContextTooWide past TABLE_WORLD_LIMIT classes."""
     worlds, masks, families = context._index()
     if len(worlds) <= POINT_WORLD_LIMIT:
-        # Keyed by the variant as given, so that a call naming it by its
-        # value skips the enum's lookup; the name and the member share
-        # one family.
+        variant = DeniabilityVariant.coerce(variant)
         tab = families.get(variant)
         if tab is None:
-            member = DeniabilityVariant.coerce(variant)
-            tab = families.get(member) or _PointTables(member, len(worlds), masks)
-            families[variant] = families[member] = tab
+            tab = families[variant] = _PointTables(variant, len(worlds), masks)
         return tab
     full = (1 << len(worlds)) - 1
     # One walk over phi's intensional nodes: the truth mask over the
@@ -410,7 +415,7 @@ def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | 
     try:
         while stack:
             for node in stack.pop():
-                if not is_l_formula(node):
+                if node.__class__ not in _L_TYPES:
                     stack.append(node.children())
                 elif node not in truths:
                     truths[node] = _truth_mask(node, masks, full)
@@ -478,29 +483,47 @@ def countermodel(
     None when the sequent is valid.  Contexts range over the atoms
     mentioned in the sequent (one dummy atom when there are none).
 
-    Searches tables over the first 4, 8, 12, ... kept worlds (see the
-    module docstring); raises WorldLimitExceeded when more than
-    TABLE_WORLD_LIMIT worlds are kept and none of the searched
-    contexts is a countermodel.
+    Up to TABLE_ATOM_LIMIT atoms reads it off the tables over every
+    context; past that, searches tables over the first 4, 8, 12, ...
+    kept worlds (see the module docstring) and raises
+    WorldLimitExceeded when more than TABLE_WORLD_LIMIT worlds are kept
+    and none of the searched contexts is a countermodel.
     """
     variant = DeniabilityVariant.coerce(variant)
     atoms = sequent_atoms(premises, conclusion)
     n = len(atoms)
     if n > atom_bound:
         raise AtomBoundExceeded(n, atom_bound)
-    kept = _kept_worlds(premises, atoms, variant)
-    if not kept:
-        return None
-    top = min(len(kept), TABLE_WORLD_LIMIT)
-    for width in (*range(SEARCH_WORLD_STEP, top, SEARCH_WORLD_STEP), top):
-        tab = ContextTables(atoms, variant, kept[:width])
+    kept = None if n <= TABLE_ATOM_LIMIT else _kept_worlds(premises, atoms, variant)
+    return _search(premises, conclusion, atoms, variant, kept)
+
+
+def _search(
+    premises: Sequence[Formula],
+    conclusion: Formula,
+    atoms: tuple[str, ...],
+    variant: DeniabilityVariant,
+    kept: Sequence[int] | None,
+) -> Context | None:
+    """The least countermodel in the first table family that holds one:
+    the one family over every context when kept is None, else families
+    over the first 4, 8, 12, ... of the kept worlds, widening up to
+    TABLE_WORLD_LIMIT of them."""
+    if kept is None:
+        spaces: Iterable[Sequence[int] | None] = (None,)
+    else:
+        top = min(len(kept), TABLE_WORLD_LIMIT)
+        # No width at all when no world is kept (top is 0).
+        spaces = (kept[:w] for w in (*range(SEARCH_WORLD_STEP, top, SEARCH_WORLD_STEP), top) if w)
+    for worlds in spaces:
+        tab = ContextTables(atoms, variant, worlds)
         counter = tab.nonempty
         for p in premises:
             counter &= tab.assert_table(p)
         counter &= tab.universe ^ tab.assert_table(conclusion)
         if counter:
             return Context(atoms, tab.members((counter & -counter).bit_length() - 1))
-    if len(kept) > TABLE_WORLD_LIMIT:
+    if kept is not None and len(kept) > TABLE_WORLD_LIMIT:
         raise WorldLimitExceeded(len(kept), TABLE_WORLD_LIMIT)
     return None
 

@@ -511,6 +511,28 @@ class TestSearchBound:
         ]
 
 
+    def test_singleton_masks_over_twenty_four_atoms_in_bounded_memory(self):
+        # The same shape over 24 atoms keeps 4,096 of the 2**24 worlds.
+        # Each atom's mask over every world is made in closed form, not
+        # from one string per world, which ran out of memory under this
+        # cap after about 3 s.
+        resource = pytest.importorskip("resource")
+        cap = 1536 << 20
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        premise = " /\\ ".join(f"a{i:02}" for i in range(12))
+        conclusion = "(" + " \\/ ".join(f"a{i:02}" for i in range(12, 24)) + ") -> a00"
+        child = run_lad(["--atom-bound", "24", "entail", premise, conclusion],
+                        preexec_fn=limit_memory, timeout=8)
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr.splitlines() == [
+            "error: no countermodel among the first 24 of 4096 kept worlds; "
+            "contexts over more than 24 worlds are past the search limit"
+        ]
+
+
 class TestWideContexts:
     def test_eval_on_every_world_over_five_atoms(self):
         # 32 worlds, but each formula splits them into at most 4 classes.

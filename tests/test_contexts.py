@@ -199,11 +199,16 @@ class TestContextFiles:
 class TestVariant:
     def test_coerce(self):
         assert DeniabilityVariant.coerce("nelson") is DeniabilityVariant.NELSON
-        assert (
-            DeniabilityVariant.coerce(DeniabilityVariant.GAUKER)
-            is DeniabilityVariant.GAUKER
-        )
+        for member in DeniabilityVariant:
+            assert DeniabilityVariant.coerce(member) is member
+            assert DeniabilityVariant.coerce(member.value) is member
 
     def test_coerce_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            DeniabilityVariant.coerce("classical")
+        # Each with the enum's own error.  A member's name hashes as the
+        # member does, but is no value of one.
+        for value in ("classical", "GAUKER", "", 0, None, ["gauker"]):
+            with pytest.raises(ValueError) as info:
+                DeniabilityVariant.coerce(value)
+            with pytest.raises(ValueError) as direct:
+                DeniabilityVariant(value)
+            assert str(info.value) == str(direct.value)

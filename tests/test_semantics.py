@@ -10,7 +10,7 @@ import stream_search
 from point_evaluator import PointEvaluator
 from conftest import all_contexts, contexts_over, enumerate_l, enumerate_star, star_formulas
 from lad import semantics
-from lad.contexts import Context, DeniabilityVariant, EmptyInputError, World, world_from_index
+from lad.contexts import Context, DeniabilityVariant, EmptyInputError, World, _atom_masks, world_from_index
 from lad.formulas import (
     Atom,
     ExtAnd,
@@ -41,6 +41,8 @@ from lad.semantics import (
     _index_bit_mask,
     _kept_worlds,
     _point_tables,
+    _search,
+    _space_masks,
     asserts,
     check_characteristic,
     check_characteristic_set,
@@ -309,8 +311,8 @@ class TestMurderScenario:
 
 
 @st.composite
-def sequents(draw):
-    names = ("p", "q", "r", "s", "t")[: draw(st.integers(1, 5))]
+def sequents(draw, max_atoms=5):
+    names = ("p", "q", "r", "s", "t")[: draw(st.integers(1, max_atoms))]
     fs = star_formulas(names, max_leaves=4)
     # Premises rooted at -> are safe, so each one feeds the pruning mask.
     premises = draw(st.lists(st.one_of(fs, st.builds(IntImp, fs, fs)), max_size=3))
@@ -528,6 +530,44 @@ class TestStreamSearch:
             assert stream_search.countermodel([premise], conclusion, atoms, variant) == want
 
 
+class TestWideningSearch:
+    """Up to 4 atoms countermodel reads the least countermodel off one
+    table family over every context.  The widening search over the kept
+    worlds, which answers past 4 atoms, is checked against it here."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sequents(max_atoms=4))
+    def test_matches_the_whole_space_tables(self, sequent):
+        premises, conclusion = sequent
+        atoms = sequent_atoms(premises, conclusion)
+        for variant in VARIANTS:
+            whole = _search(premises, conclusion, atoms, variant, None)
+            assert countermodel(premises, conclusion, variant) == whole
+            kept = _kept_worlds(premises, atoms, variant)
+            assert _search(premises, conclusion, atoms, variant, kept) == whole
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tables_built_per_query(self, monkeypatch, n):
+        # Up to 4 atoms one family over every context and no singleton
+        # tables; past that the singleton tables, then the widening.
+        built = []
+        for cls in (ContextTables, _SingletonTables):
+            def recording(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self))
+                return _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", recording)
+        atoms = ("p", "q", "r", "s", "t")[:n]
+        premise = parse(" \\/ ".join(atoms))
+        for conclusion in (premise, parse(" & ".join(atoms) + " & p")):
+            built.clear()
+            countermodel([premise, parse("p -> q")], conclusion, atom_bound=5)
+            if n <= 4:
+                assert built == [ContextTables]
+            else:
+                assert built[0] is _SingletonTables and set(built[1:]) == {ContextTables}
+
+
 @st.composite
 def world_subsets(draw):
     atoms = ("p", "q", "r", "s")[: draw(st.integers(1, 4))]
@@ -651,6 +691,11 @@ class TestMasks:
                 period = 1 << (k + 1)
                 block = ((1 << (1 << k)) - 1) << (1 << k)
                 assert _index_bit_mask(width, k) == block * (ones // ((1 << period) - 1))
+
+    def test_space_masks_match_the_world_list_masks(self):
+        for n in range(1, 11):
+            atoms = tuple(f"a{i}" for i in range(n))
+            assert _space_masks(atoms) == _atom_masks(atoms, range(1 << n))
 
     def test_tables_share_the_per_width_masks(self):
         a = ContextTables(("p", "q", "r", "s"))
