@@ -510,7 +510,6 @@ class TestSearchBound:
             "contexts over more than 24 worlds are past the search limit"
         ]
 
-
     def test_singleton_masks_over_twenty_four_atoms_in_bounded_memory(self):
         # The same shape over 24 atoms keeps 4,096 of the 2**24 worlds.
         # Each atom's mask over every world is made in closed form, not

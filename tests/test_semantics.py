@@ -535,7 +535,7 @@ class TestWideningSearch:
     table family over every context.  The widening search over the kept
     worlds, which answers past 4 atoms, is checked against it here."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(sequents(max_atoms=4))
     def test_matches_the_whole_space_tables(self, sequent):
         premises, conclusion = sequent
