@@ -19,8 +19,13 @@ can gather the pairs of several workloads.
 After its pairs the script prints, for each metric over every pair of
 the workload in ``--out``: the base and head medians, each side's
 quartiles (inclusive method), the relative change, how many pairs the
-head won (higher throughput, lower everything else), and the gap
-between the medians against the base's interquartile distance.
+head won (higher throughput, lower everything else), the gap
+between the medians against the base's interquartile distance, and a
+verdict against the metric's relative bound in ``BENCHMARK.json``:
+``regressed`` when the head median is worse than the base median by
+more than the bound, else ``unresolved`` when the base's interquartile
+distance is wider than the bound (as a share of the base median), else
+``within bound``.
 """
 from __future__ import annotations
 
@@ -78,9 +83,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def bounds() -> dict[str, float]:
+    """Each end-to-end metric's relative bound, from BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def verdict(base: float, head: float, iqr: float, bound: float, higher: bool) -> str:
+    """The metric's verdict from the medians and the base's
+    interquartile distance (see the module docstring)."""
+    worse = (base - head if higher else head - base) / base
+    if worse > bound:
+        return "regressed"
+    if iqr / base > bound:
+        return "unresolved"
+    return "within bound"
+
+
 def summary(pairs: list[dict], workload: str) -> list[str]:
     """One line per metric over the workload's pairs (see the module docstring)."""
     rows = [p for p in pairs if p["workload"] == workload]
+    bound = bounds()
     lines = []
     for m in METRICS:
         base = [p["base"]["metrics"][m] for p in rows]
@@ -92,7 +115,8 @@ def summary(pairs: list[dict], workload: str) -> list[str]:
         lines.append(
             f"{workload} {m}: base {b2:.4g} [{b1:.4g}, {b3:.4g}] -> head {h2:.4g} "
             f"[{h1:.4g}, {h3:.4g}] ({h2 / b2 - 1:+.1%}), head better in {won}/{len(rows)} "
-            f"pairs, median gap {abs(h2 - b2):.4g} against base IQR {b3 - b1:.4g}"
+            f"pairs, median gap {abs(h2 - b2):.4g} against base IQR {b3 - b1:.4g}: "
+            f"{verdict(b2, h2, b3 - b1, bound[m], higher)} (bound {bound[m]:.0%})"
         )
     return lines
 

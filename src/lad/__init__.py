@@ -28,7 +28,7 @@ _EXPORTS = {
         "AtomBoundExceeded", "ContextTables", "ContextTooWide", "UnknownAtomError",
         "WorldLimitExceeded", "asserts", "check_characteristic", "check_characteristic_set",
         "countermodel", "denies", "entails", "equivalent", "evaluate", "is_persistent",
-        "persistence_witness", "strongly_equivalent", "truth",
+        "persistence_witness", "persists", "strongly_equivalent", "truth",
     ),
     "syntax": ("ParseError", "format_formula", "parse"),
     "transforms": ("mu_c", "nnf", "sigma_w", "weak_negate", "xi_x"),

@@ -45,9 +45,11 @@ class Formula(Record):
     stack (_same), so it never recurses either.  str hashes are
     salted per process, so the cached hash never travels with a node:
     pickling and copying rebuild the node through its constructor.
+    The set of the node's atom names (atoms_of) is kept beside it in
+    the same way, set once by the parser or by the first atoms_of call.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_atoms")
 
     def children(self) -> tuple["Formula", ...]:
         return ()
@@ -132,6 +134,7 @@ FALSUM = Falsum()
 # Constructors set fields through the slot descriptors themselves, which
 # is what records._set does, less the name lookup and checks.
 _set_hash = Formula._hash.__set__
+_set_atoms = Formula._atoms.__set__
 _set_operand = _Unary.operand.__set__
 _set_left = _Binary.left.__set__
 _set_right = _Binary.right.__set__
@@ -234,6 +237,14 @@ def is_l_formula(phi: Formula) -> bool:
 
 
 def atoms_of(phi: Formula) -> frozenset[str]:
+    """The names of the atoms in phi.  A root that syntax.parse returns
+    from its own node table carries them already; any other node is
+    walked once and keeps the result."""
+    # getattr with a default: an unset slot costs half what a caught
+    # AttributeError does.
+    atoms = getattr(phi, "_atoms", None)
+    if atoms is not None:
+        return atoms
     # Descend into one child of each node and stack only the other, as
     # _same does; the node classes are the closed set above.
     out: set[str] = set()
@@ -251,8 +262,11 @@ def atoms_of(phi: Formula) -> frozenset[str]:
         if cls is Atom:
             out.add(node.name)
         if not stack:
-            return frozenset(out)
+            break
         node = stack.pop()
+    atoms = frozenset(out)
+    _set_atoms(phi, atoms)
+    return atoms
 
 
 def size(phi: Formula) -> int:

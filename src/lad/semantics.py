@@ -52,17 +52,25 @@ Entailment reads the least countermodel off one table family: the
 lowest set bit of the contexts that assert every premise and not the
 conclusion.  Up to TABLE_ATOM_LIMIT atoms that family spans every
 context, so each formula is walked once.  Past that (up to the caller's
-bound) a safe premise persists, so a countermodel is made of kept
-worlds, those whose singleton context asserts every safe premise.
-They come from the same clauses run over the singleton contexts of all
-worlds at once (_SingletonTables, each atom's mask over every world
-made in closed form by _space_masks).  The search builds tables over
-the first 4 kept worlds, then the first 8, 12 and so on, and stops at
-the first width that holds a countermodel.  Any context holding a later
-kept world is numerically larger than every context of earlier ones,
-so the least countermodel found this way is the least one overall, as
-it is over every context.  Tables stop at TABLE_WORLD_LIMIT worlds;
-past that, a search that has found nothing raises WorldLimitExceeded.
+bound) a premise whose assert side persists by type (persists) is
+asserted at every singleton subcontext of a context asserting it, so a
+countermodel is made of kept worlds, those whose singleton context
+asserts every such premise.  Under nelson and connexive that is every
+premise; under gauker, every premise reaching no -> denial.  They come
+from the same clauses run over the singleton contexts of all worlds at
+once (_SingletonTables, each atom's mask over every world made in
+closed form by _space_masks).  The search builds tables over the first
+8 kept worlds, then the first 12, 16 and so on, and stops at the first
+width that holds a countermodel.  It starts at 8 because a table over
+at most 8 worlds is an int of at most 256 bits, whose &, | and << cost
+what a 16-bit one's do, so a narrower first family would only add a
+build whenever the search goes on.  Any context holding a later kept
+world is numerically larger than every context of earlier ones, so the
+least countermodel found this way is the least one overall, as it is
+over every context.  Tables stop at TABLE_WORLD_LIMIT worlds; past
+that, a search that has found nothing raises WorldLimitExceeded.
+persistence_witness answers None at once, at any atom count, for a
+formula that persists by type.
 """
 from __future__ import annotations
 
@@ -84,7 +92,6 @@ from .formulas import (
     IntOr,
     LayerError,
     atoms_of,
-    is_safe,
 )
 from .transforms import mu_c, xi_x
 
@@ -92,6 +99,9 @@ TABLE_ATOM_LIMIT = 4
 # The widest table the countermodel search builds: 2**24 bits (2 MB)
 # per table.
 TABLE_WORLD_LIMIT = 24
+# The search's first table family spans up to this many kept worlds,
+# each later one SEARCH_WORLD_STEP more (see the module docstring).
+SEARCH_FIRST_WORLDS = 8
 SEARCH_WORLD_STEP = 4
 # Point evaluation tabulates a context of at most this many worlds over
 # its own worlds, a wider one over classes (see the module docstring).
@@ -461,14 +471,55 @@ def sequent_atoms(premises: Iterable[Formula], conclusion: Formula) -> tuple[str
     return tuple(sorted(names)) if names else ("p",)
 
 
+def persists(
+    phi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER, deny: bool = False
+) -> bool:
+    """Is phi's assert side (its deny side when deny is set) closed
+    under nonempty subcontexts by type?  True means every nonempty
+    subcontext of a context asserting (denying) phi asserts (denies) it.
+
+    By induction on phi, for each side:
+    - an L-formula is true (false) at every world of a context, and so
+      at every world of a subcontext;
+    - ! swaps the sides;
+    - & and | take the intersection or union of their operands'
+      families, which keeps closure;
+    - x -> y is asserted when every nonempty subcontext asserting x
+      asserts y, and a subcontext's subcontexts are among the context's;
+    - x -> y is denied under nelson when the context asserts x and
+      denies y, two closed families by induction; under connexive when
+      every subcontext asserting x denies y, as for assertion; under
+      gauker when some subcontext asserts x and denies y, which holds
+      of every supercontext as well, so it is not closed in general.
+    So under nelson and connexive every side of every formula is
+    closed, and under gauker a side is closed unless its walk, counting
+    ! flips, reaches a denied ->.  Every is_safe formula passes, and so
+    does !!(p -> q), which is not safe.
+    """
+    if DeniabilityVariant.coerce(variant) is not DeniabilityVariant.GAUKER:
+        return True
+    stack = [(phi, deny)]
+    while stack:
+        node, deny = stack.pop()
+        cls = node.__class__
+        if cls is IntNeg:
+            stack.append((node.operand, not deny))
+        elif cls is IntAnd or cls is IntOr:
+            stack.append((node.left, deny))
+            stack.append((node.right, deny))
+        elif cls is IntImp and deny:
+            return False
+    return True
+
+
 def _kept_worlds(
     premises: Sequence[Formula], atoms: tuple[str, ...], variant: DeniabilityVariant
 ) -> list[int]:
-    """Worlds whose singleton context asserts every safe premise."""
+    """Worlds whose singleton context asserts every premise that persists."""
     single = _SingletonTables(atoms, variant)
     kept = single.nonempty
     for p in premises:
-        if is_safe(p):
+        if persists(p, variant):
             kept &= single.assert_table(p)
     return _bit_positions(kept)
 
@@ -484,7 +535,7 @@ def countermodel(
     mentioned in the sequent (one dummy atom when there are none).
 
     Up to TABLE_ATOM_LIMIT atoms reads it off the tables over every
-    context; past that, searches tables over the first 4, 8, 12, ...
+    context; past that, searches tables over the first 8, 12, 16, ...
     kept worlds (see the module docstring) and raises
     WorldLimitExceeded when more than TABLE_WORLD_LIMIT worlds are kept
     and none of the searched contexts is a countermodel.
@@ -507,14 +558,15 @@ def _search(
 ) -> Context | None:
     """The least countermodel in the first table family that holds one:
     the one family over every context when kept is None, else families
-    over the first 4, 8, 12, ... of the kept worlds, widening up to
+    over the first 8, 12, 16, ... of the kept worlds, widening up to
     TABLE_WORLD_LIMIT of them."""
     if kept is None:
         spaces: Iterable[Sequence[int] | None] = (None,)
     else:
         top = min(len(kept), TABLE_WORLD_LIMIT)
+        widths = (*range(SEARCH_FIRST_WORLDS, top, SEARCH_WORLD_STEP), top)
         # No width at all when no world is kept (top is 0).
-        spaces = (kept[:w] for w in (*range(SEARCH_WORLD_STEP, top, SEARCH_WORLD_STEP), top) if w)
+        spaces = (kept[:w] for w in widths if w)
     for worlds in spaces:
         tab = ContextTables(atoms, variant, worlds)
         counter = tab.nonempty
@@ -561,9 +613,12 @@ def persistence_witness(
     phi: Formula, variant: DeniabilityVariant | str = DeniabilityVariant.GAUKER
 ) -> tuple[Context, Context] | None:
     """A pair (C, D) with D a nonempty subcontext of C where C asserts
-    phi but D does not, or None when phi is persistent.  Checked over
-    the formula's own atoms.
+    phi but D does not, or None when phi is persistent.  None at once,
+    at any atom count, when phi persists by type (persists); otherwise
+    checked over the formula's own atoms, up to TABLE_ATOM_LIMIT.
     """
+    if persists(phi, variant):
+        return None
     atoms = sequent_atoms((), phi)
     tab = ContextTables(atoms, variant)
     a = tab.assert_table(phi)

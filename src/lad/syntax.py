@@ -37,7 +37,9 @@ it returns, and parse(text, nodes) shares with everything earlier
 calls built into the same dict (lad.proofs.parse_proof passes one per
 proof).  A key holds ids only of nodes the table keeps alive, either
 as values or as their children, and a failed constructor (LayerError)
-adds no entry.
+adds no entry.  A table made by the call holds one Atom for each atom
+name of the formula and no other Atom, so the root keeps that set of
+names for formulas.atoms_of, which then need not walk it.
 """
 from __future__ import annotations
 
@@ -58,6 +60,7 @@ from .formulas import (
     IntNeg,
     IntOr,
     LayerError,
+    _set_atoms,
     is_l_formula,
     match_diamond,
     match_plus,
@@ -127,8 +130,10 @@ def parse(text: str, nodes: dict | None = None) -> Formula:
     Raises ParseError for malformed text and LayerError for an
     extensional connective over a non-L operand.
     """
-    if nodes is None:
+    own = nodes is None
+    if own:
         nodes = {}
+    names = []  # of the Atoms this call adds to the table
     tokens = _TOKEN.findall(text)
     end = len(tokens)
     tokens.append("")  # the end of input
@@ -150,6 +155,7 @@ def parse(text: str, nodes: dict | None = None) -> Formula:
             atom = nodes.get(tok)
             if atom is None:
                 atom = nodes[tok] = Atom(tok)
+                names.append(tok)
             vals.append(atom)
         else:
             raise ParseError(
@@ -171,7 +177,11 @@ def parse(text: str, nodes: dict | None = None) -> Formula:
             if not ops:
                 if i < end:
                     raise ParseError(f"trailing input {tok!r}", _position(text, i))
-                return vals[0]
+                root = vals[0]
+                if own:
+                    # A table of the call's own holds only the formula's atoms.
+                    _set_atoms(root, frozenset(names))
+                return root
             if tok != ")":
                 raise ParseError(
                     f"unexpected {tok or 'end of input'!r}", _position(text, i), (")",)

@@ -213,11 +213,16 @@ def test_criterion_04_classical_collapse_on_l():
             )
 
 
-def test_criterion_05_safety_implies_persistence(family7):
+def test_criterion_05_safety_implies_persistence(family7, shared_tables):
     with Budget("criterion 5 (safe formulas persist)", 120.0):
         for phi in family7:
             if is_safe(phi):
                 assert is_persistent(phi), format_formula(phi)
+                # is_persistent answers a safe formula by its type, so
+                # the tables check the closure itself.
+                tab = shared_tables(phi)
+                a = tab.assert_table(phi)
+                assert tab.has_subset(tab.nonempty & ~a) & a == 0, format_formula(phi)
         wit = persistence_witness(parse("!(p -> q)"))
         assert wit is not None
         big, small = wit

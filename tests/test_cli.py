@@ -243,7 +243,9 @@ class TestEquivPersistent:
         "argv",
         [
             ["equiv", "a & b & c & d & e", "e & d & c & b & a"],
-            ["persistent", "a & b & c & d & e"],
+            # A gauker -> denial is not persistent by type, so the
+            # tables must decide, and they stop at 4 atoms.
+            ["--variant", "gauker", "persistent", "!(a -> b) & c & d & e"],
         ],
         ids=["equiv", "persistent"],
     )
@@ -253,6 +255,18 @@ class TestEquivPersistent:
         lines = child.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "stop at 4 atoms" in lines[0] and "raise the bound" not in lines[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["persistent", "a & b & c & d & e"],
+            ["--variant", "nelson", "persistent", "!(a -> b) & c & d & e"],
+        ],
+        ids=["conjunction", "nelson-denial"],
+    )
+    def test_persistent_by_type_at_any_atom_count(self, argv):
+        child = run_lad(argv)
+        assert (child.returncode, child.stdout, child.stderr) == (0, "persistent\n", "")
 
 
 class TestTransformCommands:

@@ -63,6 +63,7 @@ PUBLIC = [
     "parse_context",
     "parse_proof",
     "persistence_witness",
+    "persists",
     "plus_disj",
     "sigma_w",
     "size",

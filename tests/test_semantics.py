@@ -53,6 +53,7 @@ from lad.semantics import (
     evaluate,
     is_persistent,
     persistence_witness,
+    persists,
     sequent_atoms,
     strongly_equivalent,
     truth,
@@ -324,11 +325,12 @@ def sequents(draw, max_atoms=5):
     return premises, draw(fs)
 
 
-def kept_worlds(premises, atoms, variant):
-    """Worlds whose singleton context asserts every safe premise."""
+def kept_worlds(premises, atoms, variant, prune=is_safe):
+    """Worlds whose singleton context asserts every premise that prune
+    accepts (by default every safe premise)."""
     ev = PointEvaluator(atoms, variant)
-    safe = [p for p in premises if is_safe(p)]
-    return [w for w in range(ev.n_worlds) if all(ev.asserts(1 << w, p) for p in safe)]
+    pruning = [p for p in premises if prune(p)]
+    return [w for w in range(ev.n_worlds) if all(ev.asserts(1 << w, p) for p in pruning)]
 
 
 @st.composite
@@ -450,10 +452,14 @@ class TestPointEvaluation:
     @settings(max_examples=60, deadline=None)
     @given(sequents())
     def test_kept_worlds_match_the_oracle_singletons(self, sequent):
+        # Pruned by every premise that persists by type, which keeps no
+        # world that pruning by the safe premises alone drops.
         premises, conclusion = sequent
         atoms = sequent_atoms(premises, conclusion)
         for variant in VARIANTS:
-            assert _kept_worlds(premises, atoms, variant) == kept_worlds(premises, atoms, variant)
+            kept = _kept_worlds(premises, atoms, variant)
+            assert kept == kept_worlds(premises, atoms, variant, lambda p: persists(p, variant))
+            assert set(kept) <= set(kept_worlds(premises, atoms, variant))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 5), st.data())
@@ -549,12 +555,13 @@ class TestWideningSearch:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_tables_built_per_query(self, monkeypatch, n):
         # Up to 4 atoms one family over every context and no singleton
-        # tables; past that the singleton tables, then the widening.
+        # tables; past that the singleton tables, then one family over up
+        # to 8 kept worlds and one more for each further 4 the search needs.
         built = []
         for cls in (ContextTables, _SingletonTables):
             def recording(self, *args, _init=cls.__init__, **kwargs):
-                built.append(type(self))
-                return _init(self, *args, **kwargs)
+                _init(self, *args, **kwargs)
+                built.append((type(self), len(self.worlds)))
 
             monkeypatch.setattr(cls, "__init__", recording)
         atoms = ("p", "q", "r", "s", "t")[:n]
@@ -563,9 +570,137 @@ class TestWideningSearch:
             built.clear()
             countermodel([premise, parse("p -> q")], conclusion, atom_bound=5)
             if n <= 4:
-                assert built == [ContextTables]
+                # p -> q brings q in at 1 atom.
+                assert built == [(ContextTables, 1 << max(n, 2))]
             else:
-                assert built[0] is _SingletonTables and set(built[1:]) == {ContextTables}
+                assert built[0] == (_SingletonTables, 32)
+                assert {cls for cls, _ in built[1:]} == {ContextTables}
+        if n == 5:
+            # A premise true at exactly k worlds keeps k; the sequent is
+            # valid, so the search runs to its last width.
+            for k, widths in ((5, [5]), (8, [8]), (9, [8, 9]), (12, [8, 12])):
+                worlds = TestStreamSearch.KEPT[:k]
+                kept = cup_chain([sigma_w(world_from_index(atoms, w)) for w in worlds])
+                built.clear()
+                assert countermodel([kept], kept, atom_bound=5) is None
+                assert built == [(_SingletonTables, 32)] + [(ContextTables, w) for w in widths]
+
+
+def down_closed(phi, variant, deny=False, tab=None):
+    """Is phi's assert side (deny side) closed under nonempty
+    subcontexts, read off its tables over every context (tab, or new
+    tables over phi's atoms)?  The persistence check without the type
+    shortcut that persistence_witness takes."""
+    if tab is None:
+        tab = ContextTables(sequent_atoms((), phi), variant)
+    table = tab.table(phi, deny)
+    return tab.has_subset(tab.nonempty & ~table) & table == 0
+
+
+class TestPersistsByType:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_typed_formulas_are_persistent(self, n, data):
+        phi = data.draw(star_formulas(("p", "q", "r")[:n], max_leaves=6))
+        for variant in VARIANTS:
+            if persists(phi, variant):
+                assert down_closed(phi, variant)
+            if persists(phi, variant, deny=True):
+                # The deny side of phi is the assert side of !phi.
+                assert down_closed(IntNeg(phi), variant)
+
+    @pytest.mark.parametrize("atoms, size", [(("p",), 6), (("p", "q"), 5)])
+    def test_every_small_formula(self, atoms, size):
+        # Under nelson and connexive both sides of every formula are
+        # closed; under gauker every safe formula persists by type.
+        family = enumerate_star(atoms, size)
+        for variant in ("nelson", "connexive"):
+            tab = ContextTables(atoms, variant)
+            for phi in family:
+                assert down_closed(phi, variant, False, tab) and down_closed(phi, variant, True, tab)
+        tab = ContextTables(atoms, "gauker")
+        for phi in family:
+            if is_safe(phi):
+                assert persists(phi, "gauker")
+            if persists(phi, "gauker"):
+                assert down_closed(phi, "gauker", False, tab)
+
+    def test_gauker_denied_implication(self):
+        pq = parse("p -> q")
+        assert persists(pq, "gauker") and not persists(pq, "gauker", deny=True)
+        assert not persists(IntNeg(pq), "gauker")
+        # Not safe, yet persistent by type: two ! flips back to assertion.
+        assert persists(IntNeg(IntNeg(pq)), "gauker") and not is_safe(IntNeg(IntNeg(pq)))
+        for variant in ("nelson", "connexive"):
+            assert persists(IntNeg(pq), variant) and persists(pq, variant, deny=True)
+
+    def test_witness_answers_typed_formulas_at_any_atom_count(self):
+        wide = parse("!(a -> b) & c & d & e & f & g")
+        for variant in ("nelson", "connexive"):
+            assert persistence_witness(wide, variant) is None
+        with pytest.raises(AtomBoundExceeded):
+            persistence_witness(wide, "gauker")
+        assert persistence_witness(parse("!!(a -> b) & c & d & e & f & g"), "gauker") is None
+
+
+def _random_l(rng, atoms, leaves):
+    if leaves == 1:
+        atom = Atom(rng.choice(atoms))
+        return ExtNeg(atom) if rng.random() < 0.3 else atom
+    k = rng.randrange(1, leaves)
+    return rng.choice((ExtAnd, ExtOr, ExtImp))(_random_l(rng, atoms, k), _random_l(rng, atoms, leaves - k))
+
+
+def _random_star(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return _random_l(rng, atoms, rng.randrange(1, 4))
+    pick = rng.randrange(5)
+    if pick == 0:
+        return IntNeg(_random_star(rng, atoms, depth - 1))
+    cls = (IntAnd, IntOr, IntImp, IntImp)[pick - 1]
+    return cls(_random_star(rng, atoms, depth - 1), _random_star(rng, atoms, depth - 1))
+
+
+class TestTypedPruning:
+    """Pruning by every premise that persists by type, against pruning
+    by the safe premises alone, on a fixed draw past 4 atoms."""
+
+    def test_decides_more_of_a_fixed_draw(self):
+        rng = random.Random(2802)
+        undecided = {"safe": 0, "typed": 0}
+        oracle_runs = 0
+        for _ in range(60):
+            atoms = ("a", "b", "c", "d", "e", "f", "g")[: rng.randrange(5, 8)]
+            premises = [_random_star(rng, atoms, 3) for _ in range(rng.randrange(1, 4))]
+            conclusion = _random_star(rng, atoms, 3)
+            variant = DeniabilityVariant(rng.choice(("gauker", "nelson", "connexive")))
+            atoms = sequent_atoms(premises, conclusion)
+            single = _SingletonTables(atoms, variant)
+            safe_kept = single.nonempty
+            for p in premises:
+                if is_safe(p):
+                    safe_kept &= single.assert_table(p)
+            safe_kept = [w for w in single.worlds if safe_kept >> w & 1]
+            try:
+                want = _search(premises, conclusion, atoms, variant, safe_kept)
+            except WorldLimitExceeded:
+                undecided["safe"] += 1
+                want = "undecided"
+            try:
+                got = countermodel(premises, conclusion, variant, atom_bound=7)
+            except WorldLimitExceeded:
+                undecided["typed"] += 1
+                assert want == "undecided"
+                continue
+            if want != "undecided":
+                assert got == want
+            # The one-context-at-a-time oracle, pruned by the safe
+            # premises, where it finishes in reasonable time.
+            if len(safe_kept) <= 10 or (got is not None and len(safe_kept) <= 14):
+                oracle_runs += 1
+                assert stream_search.countermodel(premises, conclusion, atoms, variant) == got
+        # On this draw 7 undecided become 2, and the oracle checks 21.
+        assert undecided["typed"] < undecided["safe"] and oracle_runs >= 10
 
 
 @st.composite
@@ -644,10 +779,13 @@ class TestEquivalence:
 
 class TestPersistence:
     def test_safe_formulas_persist(self):
+        # is_persistent answers a safe formula by its type, so the
+        # tables check the closure itself.
         for variant in VARIANTS:
+            tab = ContextTables(("p", "q"), variant)
             for phi in enumerate_star(("p", "q"), 4):
                 if is_safe(phi):
-                    assert is_persistent(phi, variant)
+                    assert is_persistent(phi, variant) and down_closed(phi, variant, False, tab)
 
     def test_negated_implication_witness(self):
         wit = persistence_witness(parse("!(p -> q)"))

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from lad.formulas import (
     IntNeg,
     IntOr,
     LayerError,
+    atoms_of,
     diamond,
     plus_disj,
     size,
@@ -261,6 +264,24 @@ class TestNodeTable:
         assert psi.left is phi.left.operand and psi.right is phi.left
         assert_shared(phi, psi)
         assert parse("p", nodes) is phi.left.operand.left
+
+    @given(star_formulas(max_leaves=8), st.lists(star_formulas(max_leaves=4), max_size=3))
+    @settings(max_examples=100)
+    def test_atoms_of_any_parse(self, phi, earlier):
+        # A parse with its own table sets its root's atom names; a parse
+        # into a shared table, or a built formula, is walked by atoms_of.
+        # Either way the names are the tree's, and the record is as before.
+        want = {n.name for n in nodes_of(phi) if isinstance(n, Atom)}
+        own = parse(format_formula(phi))
+        assert own._atoms == want
+        nodes = {}
+        for other in earlier:
+            parse(format_formula(other), nodes)
+        shared = parse(format_formula(phi), nodes)
+        for psi in (own, shared, phi):
+            assert atoms_of(psi) == want and atoms_of(psi) is atoms_of(psi)
+            assert psi == phi and hash(psi) == hash(phi) and repr(psi) == repr(phi)
+            assert pickle.loads(pickle.dumps(psi)) == phi
 
     @pytest.mark.parametrize("text", ["!p /\\ q", "p (+) !q", "~(p -> q)"])
     def test_layer_error_adds_no_entry(self, text):
