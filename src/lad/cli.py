@@ -13,17 +13,9 @@ import sys
 
 # Only what every command needs loads with the front end: each handler
 # imports the engine it runs.
-from .contexts import (
-    DEFAULT_ATOM_BOUND,
-    Context,
-    ContextFormatError,
-    DeniabilityVariant,
-    EmptyInputError,
-    format_context,
-    parse_context,
-)
-from .formulas import Formula, LayerError
-from .syntax import ParseError, format_formula, parse
+from .contexts import DEFAULT_ATOM_BOUND, Context, DeniabilityVariant, format_context, parse_context
+from .formulas import Formula
+from .syntax import format_formula, parse
 
 ATOM_BOUND_ENV = "LAD_ATOM_BOUND"
 
@@ -128,7 +120,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"{name} must be at least 1, got {bound}")
         args.atom_bound = bound
         return COMMANDS[args.command][1](args)
-    except (ParseError, LayerError, ContextFormatError, EmptyInputError, OSError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
+        # Every error lad raises for bad input or a limit is a ValueError.
         return _error(exc)
     except RecursionError:
         return _error("formula nested too deeply")
@@ -136,17 +129,6 @@ def main(argv: list[str] | None = None) -> int:
         # A context stores its worlds as a bit set over world indices, so
         # one world of high index over many atoms can exhaust memory.
         return _error("out of memory")
-    except Exception as exc:
-        # The engines' own input errors, imported only once something failed.
-        from .proofs import ProofParseError
-        from .semantics import AtomBoundExceeded, ContextTooWide, UnknownAtomError, WorldLimitExceeded
-
-        engine_errors = (
-            ProofParseError, UnknownAtomError, AtomBoundExceeded, WorldLimitExceeded, ContextTooWide
-        )
-        if isinstance(exc, engine_errors):
-            return _error(exc)
-        raise
 
 
 def _error(message) -> int:
@@ -168,11 +150,14 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _cmd_fmt(args) -> int:
-    phi = parse(args.formula)
-    out = format_formula(phi, mode="full" if args.plain else "macro")
+def _print_formula(args, phi: Formula, mode: str = "macro") -> int:
+    out = format_formula(phi, mode=mode)
     _emit(args, {"formula": out}, out)
     return 0
+
+
+def _cmd_fmt(args) -> int:
+    return _print_formula(args, parse(args.formula), "full" if args.plain else "macro")
 
 
 def _cmd_eval(args) -> int:
@@ -272,17 +257,13 @@ def _cmd_persistent(args) -> int:
 def _cmd_weakneg(args) -> int:
     from .transforms import weak_negate
 
-    out = format_formula(weak_negate(parse(args.formula)))
-    _emit(args, {"formula": out}, out)
-    return 0
+    return _print_formula(args, weak_negate(parse(args.formula)))
 
 
 def _cmd_nnf(args) -> int:
     from .transforms import nnf
 
-    out = format_formula(nnf(parse(args.formula), args.variant))
-    _emit(args, {"formula": out}, out)
-    return 0
+    return _print_formula(args, nnf(parse(args.formula), args.variant))
 
 
 def _cmd_charform(args) -> int:
@@ -297,9 +278,7 @@ def _cmd_charform(args) -> int:
         phi = mu_c(ctxs[0])
     else:
         phi = xi_x(ctxs)
-    out = format_formula(phi)
-    _emit(args, {"formula": out}, out)
-    return 0
+    return _print_formula(args, phi)
 
 
 def _cmd_check(args) -> int:

@@ -24,11 +24,11 @@ DEFAULT_ATOM_BOUND = 4
 _DECODE_BLOCK = 4096
 
 
-class EmptyInputError(Exception):
+class EmptyInputError(ValueError):
     """Empty atom list, world set or context set where one is required."""
 
 
-class ContextFormatError(Exception):
+class ContextFormatError(ValueError):
     """Malformed context file text."""
 
     def __init__(self, message: str, line: int | None = None):

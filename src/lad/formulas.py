@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from .records import Record, _set
 
 
-class LayerError(Exception):
+class LayerError(ValueError):
     """An extensional connective was applied to a non-L operand."""
 
     def __init__(self, message: str, position: int | None = None, offending=None):
@@ -54,6 +54,11 @@ class Formula(Record):
     def children(self) -> tuple["Formula", ...]:
         return ()
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or _same(self, other)
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -70,13 +75,6 @@ class _Unary(Formula):
 
     def children(self):
         return (self.operand,)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or _same(self, other)
-
-    __hash__ = Formula.__hash__  # defining __eq__ alone would unset it
 
 
 class _Binary(Formula):
@@ -97,13 +95,6 @@ class _Binary(Formula):
     def children(self):
         return (self.left, self.right)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or _same(self, other)
-
-    __hash__ = Formula.__hash__
-
 
 class Atom(Formula):
     __slots__ = __match_args__ = ("name",)
@@ -113,13 +104,6 @@ class Atom(Formula):
             raise ValueError(f"invalid atom name: {name!r}")
         _set(self, "name", name)
         _set(self, "_hash", hash((Atom, name)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    __hash__ = Formula.__hash__
 
 
 class Falsum(Formula):
@@ -147,8 +131,8 @@ def _require_l(operand: Formula, op: str) -> None:
         )
 
 
-# The shapes above build, compare and hash these nodes; Record adds the
-# repr, pickling and frozen assignment.
+# The shapes above build these nodes and Formula compares and hashes
+# them; Record adds the repr, pickling and frozen assignment.
 class ExtNeg(_Unary):
     __slots__ = ()
     _ext_op = "~"

@@ -127,7 +127,7 @@ RULE_ARITY = {
 RULES = frozenset(RULE_ARITY) | {"premise", "hyp"}
 
 
-class ProofParseError(Exception):
+class ProofParseError(ValueError):
     def __init__(self, message: str, source_line: int | None = None):
         if source_line is not None:
             message = f"line {source_line}: {message}"

@@ -7,8 +7,10 @@ member set).  Each side is built only when a clause reads it: ! swaps
 the sides, and a -> denial reads its antecedent's assert side, so a
 question about assertion builds deny tables only under a !.
 
-By default a table spans every context over the atoms, which is
-viable up to 4 atoms (a 5-atom table is 2**32 bits).  Given a sorted
+By default a table spans every context over the atoms.  That is
+viable up to TABLE_ATOM_LIMIT atoms: the most atoms whose 2**n worlds
+fit in one table of TABLE_WORLD_LIMIT (24) worlds, so 4, since 2**4 =
+16 <= 24 < 32 = 2**5 (a 5-atom table is 2**32 bits).  Given a sorted
 list of worlds it spans only the contexts made of those worlds,
 with bit i of a position standing for the i-th listed world; that is
 exact, because whether a context asserts or denies a formula depends
@@ -95,10 +97,11 @@ from .formulas import (
 )
 from .transforms import mu_c, xi_x
 
-TABLE_ATOM_LIMIT = 4
 # The widest table the countermodel search builds: 2**24 bits (2 MB)
 # per table.
 TABLE_WORLD_LIMIT = 24
+# The most atoms whose 2**n worlds fit in one table: 4.
+TABLE_ATOM_LIMIT = TABLE_WORLD_LIMIT.bit_length() - 1
 # The search's first table family spans up to this many kept worlds,
 # each later one SEARCH_WORLD_STEP more (see the module docstring).
 SEARCH_FIRST_WORLDS = 8
@@ -111,11 +114,15 @@ POINT_WORLD_LIMIT = 10
 _FAMILY_ENTRY_LIMIT = 4096
 
 
-class UnknownAtomError(Exception):
-    """Formula mentions an atom the world or context does not carry."""
+class UnknownAtomError(ValueError):
+    """Formula mentions atoms the world or context does not carry: the
+    names are the error's args."""
+
+    def __str__(self) -> str:
+        return f"formula mentions atoms the context lacks: {', '.join(self.args)}"
 
 
-class AtomBoundExceeded(Exception):
+class AtomBoundExceeded(ValueError):
     """A query needs more atoms than the configured bound allows."""
 
     def __init__(self, n_atoms: int, bound: int, message: str | None = None):
@@ -128,7 +135,7 @@ class AtomBoundExceeded(Exception):
         self.bound = bound
 
 
-class WorldLimitExceeded(Exception):
+class WorldLimitExceeded(ValueError):
     """More worlds are kept than the countermodel search tabulates, and
     no countermodel lies among the first TABLE_WORLD_LIMIT of them; the
     contexts holding a later kept world are not searched."""
@@ -142,7 +149,7 @@ class WorldLimitExceeded(Exception):
         self.searched = searched
 
 
-class ContextTooWide(Exception):
+class ContextTooWide(ValueError):
     """A context's worlds fall into more classes than point evaluation
     tabulates (TABLE_WORLD_LIMIT)."""
 
@@ -238,7 +245,7 @@ class ContextTables:
                     f"{TABLE_ATOM_LIMIT} atoms, whatever the atom bound",
                 )
             self.worlds = range(1 << self.n)
-            self._atom_masks = _space_masks(self.atoms)
+            atom_masks = _space_masks(self.atoms)
         else:
             self.worlds = tuple(worlds)
             if not (
@@ -251,15 +258,21 @@ class ContextTables:
                     f"worlds must be 1 to {TABLE_WORLD_LIMIT} strictly increasing "
                     f"world indices below {1 << self.n}"
                 )
-            self._atom_masks = _atom_masks(self.atoms, self.worlds)
+            atom_masks = _atom_masks(self.atoms, self.worlds)
+        self._setup(variant, atom_masks, len(self.worlds))
+
+    def _setup(
+        self, variant: DeniabilityVariant | str, atom_masks: Mapping[str, int], n_worlds: int
+    ) -> "ContextTables":
+        """Start an empty family over n_worlds worlds, given each atom's
+        truth mask over them by rank; returns self.  Every family but
+        the singleton one starts here."""
+        global _clear_bit
         self.variant = DeniabilityVariant.coerce(variant)
-        self._set_width(len(self.worlds))
+        self._atom_masks = atom_masks
         self._truths: dict[Formula, int] = {}
         # The assert tables and the deny tables, each built on demand.
         self._tables: tuple[dict[Formula, int], dict[Formula, int]] = ({}, {})
-
-    def _set_width(self, n_worlds: int) -> None:
-        global _clear_bit
         self.n_worlds = n_worlds
         self.full_worlds = (1 << n_worlds) - 1
         self.universe = (1 << (1 << n_worlds)) - 1
@@ -268,6 +281,7 @@ class ContextTables:
             _clear_bit = tuple(
                 self.universe ^ _index_bit_mask(n_worlds, b) for b in range(n_worlds)
             )
+        return self
 
     def members(self, position: int) -> int:
         """Member bit set, over all worlds, of the context at a position."""
@@ -350,8 +364,8 @@ class _SingletonTables(ContextTables):
     """
 
     def __init__(self, atoms: tuple[str, ...], variant: DeniabilityVariant):
-        # Positions here are worlds, not contexts, so none of
-        # ContextTables' set-up (world list, closure masks) applies.
+        # Positions here are worlds, not contexts, so ContextTables._setup
+        # (the width fields, the closure masks) does not apply.
         self.atoms = atoms
         self.variant = variant
         self.worlds = range(1 << len(atoms))
@@ -368,17 +382,11 @@ class _SingletonTables(ContextTables):
 
 
 class _PointTables(ContextTables):
-    """Tables over worlds of one context (see _point_tables), given each
-    atom's mask over them: bit i of a position stands for the i-th.
-    A judgment that leaves more than _FAMILY_ENTRY_LIMIT memo entries
-    empties them all, so the tables start afresh."""
-
-    def __init__(self, variant: DeniabilityVariant | str, width: int, atom_masks: Mapping[str, int]):
-        self.variant = DeniabilityVariant.coerce(variant)
-        self._set_width(width)
-        self._atom_masks = atom_masks
-        self._truths = {}
-        self._tables = ({}, {})
+    """Tables over worlds of one context, bit i of a position standing
+    for the i-th; _point_tables starts each through _setup, given each
+    atom's mask over those worlds.  A judgment that leaves more than
+    _FAMILY_ENTRY_LIMIT memo entries empties them all, so the tables
+    start afresh."""
 
     def holds(self, phi: Formula, deny: bool) -> bool:
         """Does the whole context deny phi, or assert it?"""
@@ -400,7 +408,7 @@ class _PointTables(ContextTables):
 
 def _unknown_atoms(phi: Formula, atoms: Iterable[str]) -> UnknownAtomError:
     """The error naming every atom of phi not among the given atoms."""
-    return UnknownAtomError(", ".join(sorted(atoms_of(phi).difference(atoms))))
+    return UnknownAtomError(*sorted(atoms_of(phi).difference(atoms)))
 
 
 def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | str) -> _PointTables:
@@ -415,7 +423,8 @@ def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | 
         variant = DeniabilityVariant.coerce(variant)
         tab = families.get(variant)
         if tab is None:
-            tab = families[variant] = _PointTables(variant, len(worlds), masks)
+            tab = object.__new__(_PointTables)._setup(variant, masks, len(worlds))
+            families[variant] = tab
         return tab
     full = (1 << len(worlds)) - 1
     # One walk over phi's intensional nodes: the truth mask over the
@@ -438,7 +447,7 @@ def _point_tables(context: Context, phi: Formula, variant: DeniabilityVariant | 
         raise ContextTooWide(len(classes), TABLE_WORLD_LIMIT)
     # Keep the lowest world of each class, whose rank is its class's low bit.
     reps = [worlds[(c & -c).bit_length() - 1] for c in classes]
-    return _PointTables(variant, len(classes), _atom_masks(context.atoms, reps))
+    return object.__new__(_PointTables)._setup(variant, _atom_masks(context.atoms, reps), len(classes))
 
 
 def evaluate(

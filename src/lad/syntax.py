@@ -67,7 +67,7 @@ from .formulas import (
 )
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Malformed formula text."""
 
     def __init__(self, message: str, position: int, expected: tuple[str, ...] = ()):

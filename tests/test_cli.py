@@ -8,7 +8,7 @@ import pytest
 
 import lad
 from lad.cli import main
-from lad.contexts import parse_context
+from lad.contexts import EmptyInputError, parse_context
 from lad.corpus import ILLEGAL_PROOF, MURDER_CONTEXT, REJECTED_PROOFS
 from lad.semantics import ContextTables, _PointTables
 
@@ -126,22 +126,24 @@ class TestEval:
         assert code == 0 and "asserted=false denied=true" in out
 
     def test_unknown_atom(self, capsys, murder_file):
-        code, _, err = run(capsys, "eval", murder_file, "zz")
-        assert code == 2 and "error:" in err
+        code, out, err = run(capsys, "eval", murder_file, "zz")
+        assert (code, out) == (2, "")
+        assert err == "error: formula mentions atoms the context lacks: zz\n"
 
     def test_one_evaluator_for_both_passes(self, capsys, murder_file, monkeypatch):
         # One family of tables over the context's worlds, kept by the
         # context, answers the assert and the deny pass of both formulas,
-        # and no other tables are built.
+        # and no other tables are built: every family but the singleton
+        # one, which eval never builds, starts in ContextTables._setup.
         built = []
-        for cls in (ContextTables, _PointTables):
-            def counting_init(self, *args, _init=cls.__init__, **kwargs):
-                built.append(self)
-                _init(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counting_init)
+        def counting_setup(self, *args, _setup=ContextTables._setup):
+            built.append(type(self))
+            return _setup(self, *args)
+
+        monkeypatch.setattr(ContextTables, "_setup", counting_setup)
         code, _, _ = run(capsys, "eval", murder_file, "p -> (r -> t)", "!(q -> s)")
-        assert code == 0 and len(built) == 1
+        assert code == 0 and built == [_PointTables]
 
     def test_few_worlds_over_36_atoms_under_a_memory_cap(self, tmp_path):
         # members is 3, but a bound of 1 << 2**36 on it would be an 8 GB
@@ -381,6 +383,51 @@ class TestErrorContract:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+class TestErrorClasses:
+    """Each error class lad raises for bad input or a limit, in process:
+    exit 2, nothing on stdout and one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, context, message",
+        [
+            (["fmt", "p &"], None,
+             "unexpected 'end of input' at position 3 (expected atom, _|_, (, ~, !, <>)"),
+            (["fmt", "!p /\\ q"], None, "operand of extensional '/\\\\' is not an L-formula"),
+            (["eval", "CTX", "p"], "p\n2\n", "line 2: world line must be 1 characters of 0/1"),
+            (["eval", "CTX", "zz"], MURDER_CONTEXT, "formula mentions atoms the context lacks: zz"),
+            (["entail", "a \\/ b \\/ c", "c /\\ d /\\ e"], None,
+             "query spans 5 atoms, bound is 4; raise the bound to force the (exponential) search"),
+            (["entail", "--atom-bound", "5", "p \\/ q \\/ r", SELF_IMPLICATION], None,
+             "no countermodel among the first 24 of 28 kept worlds; "
+             "contexts over more than 24 worlds are past the search limit"),
+            (["eval", "CTX", "(p & q & r) -> (s & t)"], FULL_FIVE_ATOM_CONTEXT,
+             "the context's worlds fall into 32 classes under the formula's extensional parts; "
+             "evaluation tabulates at most 24"),
+            (["check", "CTX"], "p premise\n", "line 1: missing ';' between formula and rule"),
+        ],
+        ids=["parse", "layer", "context-format", "unknown-atom", "atom-bound", "world-limit",
+             "context-too-wide", "proof-parse"],
+    )
+    def test_one_error_line(self, capsys, tmp_path, argv, context, message):
+        if context is not None:
+            path = tmp_path / "input.txt"
+            path.write_text(context)
+            argv = [str(path) if a == "CTX" else a for a in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_empty_input(self, capsys, monkeypatch, murder_file):
+        # No file the commands read reaches EmptyInputError (a context
+        # file has a header atom and a world, charform takes at least one
+        # file), so the context parser raises it here.
+        def empty(text):
+            raise EmptyInputError("a context needs at least one world")
+
+        monkeypatch.setattr("lad.cli.parse_context", empty)
+        assert run(capsys, "eval", murder_file, "p") == (
+            2, "", "error: a context needs at least one world\n"
+        )
+
+
 class TestBoundBelowOne:
     """Every query spans at least one atom, so a bound below 1 is an
     input error, reported with its source before any work is done."""
@@ -430,6 +477,16 @@ class TestImportPath:
             "print(code, *[m for m in ('lad.semantics', 'lad.proofs') if m in sys.modules])"
         )
         assert (child.returncode, child.stdout, child.stderr) == (0, "p\n0\n", "")
+
+    def test_engine_error_loads_no_other_engine(self):
+        # main catches every input error as a ValueError, so a failing
+        # entail imports no error class from lad.proofs.
+        argv = ["entail", "a \\/ b \\/ c", "c /\\ d /\\ e"]
+        child = run_python_s(
+            f"import lad.cli, sys; code = lad.cli.main({argv!r}); print(code, 'lad.proofs' in sys.modules)"
+        )
+        assert child.returncode == 0 and child.stdout == "2 False\n"
+        assert child.stderr.startswith("error: query spans 5 atoms")
 
     def test_modules_resolve_as_package_attributes(self):
         child = run_python_s("import lad; print(lad.semantics.__name__, lad.proofs.parse.__module__)")

@@ -56,6 +56,20 @@ class TestWorld:
             assert world_from_index(atoms, i).index == i
 
 
+class TestEmptyAndMixedInput:
+    def test_world_without_atoms(self):
+        with pytest.raises(EmptyInputError, match="^a world needs at least one atom$"):
+            World((), ())
+
+    def test_full_context_without_atoms(self):
+        with pytest.raises(EmptyInputError, match="^a context needs at least one atom$"):
+            Context.full(())
+
+    def test_from_worlds_over_two_atom_lists(self):
+        with pytest.raises(ValueError, match="^worlds over different atom lists$"):
+            Context.from_worlds([World(("p",), (1,)), World(("q",), (1,))])
+
+
 class TestContext:
     def test_member_bounds(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,21 @@ def test_public_names_are_pinned_and_resolve():
         getattr(lad, name)
 
 
+def test_every_public_exception_is_a_value_error():
+    # lad.cli.main catches ValueError once for every input error, so an
+    # engine error that subclassed Exception would end in a traceback.
+    errors = {
+        name: value
+        for name in lad.__all__
+        if isinstance(value := getattr(lad, name), type) and issubclass(value, BaseException)
+    }
+    assert sorted(errors) == [
+        "AtomBoundExceeded", "ContextFormatError", "ContextTooWide", "EmptyInputError",
+        "LayerError", "ParseError", "ProofParseError", "UnknownAtomError", "WorldLimitExceeded",
+    ]
+    assert [name for name, cls in errors.items() if not issubclass(cls, ValueError)] == []
+
+
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         lad.no_such_name

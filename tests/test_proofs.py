@@ -195,6 +195,22 @@ class TestParsing:
         assert isinstance(cause, LayerError)
         assert str(cause) == message and cause.position == position
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p premise\n", "line 1: missing ';' between formula and rule"),
+            ("p ;\n", "line 1: missing rule name"),
+            ("o p ; hyp 1\n", "line 1: hyp takes no citations"),
+            ("o p ; hyp\n*o q ; hyp\n", "line 2: marker kind mismatch"),
+            ("o p ; hyp\nooo q ; iand 1, 1\n", "line 2: marker depth skips a level"),
+        ],
+        ids=["no-semicolon", "no-rule", "hyp-citation", "hyp-kind", "line-depth"],
+    )
+    def test_line_shape_errors(self, text, message):
+        with pytest.raises(ProofParseError) as info:
+            parse_proof(text)
+        assert str(info.value) == message
+
     def test_repeated_bad_formula_reports_its_first_line(self):
         with pytest.raises(ProofParseError) as info:
             parse_proof("p ; premise\np -> ; ecap1 1\np -> ; ecap1 1\n")
@@ -299,6 +315,20 @@ class TestCorpusRejected:
 
 
 class TestCheckDetails:
+    @pytest.mark.parametrize(
+        "text, violation",
+        [
+            ("o p ; hyp\no p -> p ; iimp 1-1\n",
+             (2, CITATION_SCOPE, "subproof 1-1 is not citable from line 2")),
+            ("o p ; hyp\noo q ; hyp\np -> q ; iimp 1-2\n",
+             (3, RULE_MISMATCH, "subproof 1-2 has no conclusion at its own depth")),
+        ],
+        ids=["open-subproof", "no-conclusion"],
+    )
+    def test_subproof_citation_details(self, text, violation):
+        verdict = check(parse_proof(text))
+        assert [(v.line, v.code, v.detail) for v in verdict.violations] == [violation]
+
     def test_wrong_arity(self):
         assert violations_of("p ; premise\np /\\ p ; icap 1\n") == [
             (2, RULE_MISMATCH)

@@ -409,7 +409,9 @@ class TestPointEvaluation:
                 for judge in judges:
                     with pytest.raises(UnknownAtomError) as info:
                         judge(ctx, phi, variant)
-                    assert str(info.value) == ", ".join(sorted(missing))
+                    assert str(info.value) == (
+                        f"formula mentions atoms the context lacks: {', '.join(sorted(missing))}"
+                    )
                 continue
             ev = PointEvaluator(ctx.atoms, variant)
             want = (ev.asserts(ctx.members, phi), ev.denies(ctx.members, phi))
@@ -804,6 +806,14 @@ class TestPersistence:
     def test_witness_is_none_for_persistent(self):
         assert persistence_witness(parse("p -> q")) is None
 
+    def test_persistent_past_its_type(self):
+        # Its denied -> keeps persists from accepting it under gauker,
+        # but no context asserts _|_, so none denies _|_ -> p and none
+        # asserts this formula: the tables find no breaking pair.
+        phi = parse("!(_|_ -> p)")
+        assert not persists(phi, "gauker")
+        assert persistence_witness(phi, "gauker") is None
+
 
 class TestCharacteristic:
     def test_every_two_atom_context(self):
@@ -871,7 +881,7 @@ class TestBounds:
         for judge in (asserts, denies, evaluate):
             with pytest.raises(UnknownAtomError) as info:
                 judge(wide, phi)
-            assert str(info.value) == "b, zz"
+            assert str(info.value) == "formula mentions atoms the context lacks: b, zz"
 
     def test_every_unknown_atom_named_over_worlds(self):
         # The same formula at a context of at most POINT_WORLD_LIMIT
@@ -881,7 +891,9 @@ class TestBounds:
         for judge in (asserts, denies, evaluate):
             with pytest.raises(UnknownAtomError) as info:
                 judge(ctx, phi)
-            assert str(info.value) == "b, zz"
+            assert str(info.value) == "formula mentions atoms the context lacks: b, zz"
+            # The names are the error's args, so a copy reads the same.
+            assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
 
 
 class TestPerSideTables:
