@@ -95,7 +95,7 @@ from .formulas import (
     LayerError,
     atoms_of,
 )
-from .transforms import mu_c, xi_x
+from .transforms import xi_x
 
 # The widest table the countermodel search builds: 2**24 bits (2 MB)
 # per table.
@@ -118,21 +118,27 @@ class UnknownAtomError(ValueError):
     """Formula mentions atoms the world or context does not carry: the
     names are the error's args."""
 
+    # What lacks the atoms; truth() sets "world" on its instance.
+    _holder = "context"
+
     def __str__(self) -> str:
-        return f"formula mentions atoms the context lacks: {', '.join(self.args)}"
+        return f"formula mentions atoms the {self._holder} lacks: {', '.join(self.args)}"
 
 
 class AtomBoundExceeded(ValueError):
     """A query needs more atoms than the configured bound allows."""
 
     def __init__(self, n_atoms: int, bound: int, message: str | None = None):
-        super().__init__(
-            message
-            or f"query spans {n_atoms} atoms, bound is {bound}; "
-            "raise the bound to force the (exponential) search"
-        )
+        # The inputs are the args, so pickle can rebuild the error.
+        super().__init__(n_atoms, bound, message)
         self.n_atoms = n_atoms
         self.bound = bound
+
+    def __str__(self) -> str:
+        return self.args[2] or (
+            f"query spans {self.n_atoms} atoms, bound is {self.bound}; "
+            "raise the bound to force the (exponential) search"
+        )
 
 
 class WorldLimitExceeded(ValueError):
@@ -141,12 +147,15 @@ class WorldLimitExceeded(ValueError):
     contexts holding a later kept world are not searched."""
 
     def __init__(self, n_kept: int, searched: int):
-        super().__init__(
-            f"no countermodel among the first {searched} of {n_kept} kept worlds; "
-            f"contexts over more than {searched} worlds are past the search limit"
-        )
+        super().__init__(n_kept, searched)
         self.n_kept = n_kept
         self.searched = searched
+
+    def __str__(self) -> str:
+        return (
+            f"no countermodel among the first {self.searched} of {self.n_kept} kept worlds; "
+            f"contexts over more than {self.searched} worlds are past the search limit"
+        )
 
 
 class ContextTooWide(ValueError):
@@ -154,12 +163,15 @@ class ContextTooWide(ValueError):
     tabulates (TABLE_WORLD_LIMIT)."""
 
     def __init__(self, n_classes: int, limit: int):
-        super().__init__(
-            f"the context's worlds fall into {n_classes} classes under the formula's "
-            f"extensional parts; evaluation tabulates at most {limit}"
-        )
+        super().__init__(n_classes, limit)
         self.n_classes = n_classes
         self.limit = limit
+
+    def __str__(self) -> str:
+        return (
+            f"the context's worlds fall into {self.n_classes} classes under the formula's "
+            f"extensional parts; evaluation tabulates at most {self.limit}"
+        )
 
 
 def _truth_mask(alpha: Formula, atom_masks: Mapping[str, int], full: int) -> int:
@@ -187,7 +199,12 @@ def _truth_mask(alpha: Formula, atom_masks: Mapping[str, int], full: int) -> int
 def truth(world: World, alpha: Formula) -> bool:
     """Classical truth of an extensional formula at a world."""
     masks = {name: 1 if value else 0 for name, value in zip(world.atoms, world.values)}
-    return _truth_mask(alpha, masks, 1) == 1
+    try:
+        return _truth_mask(alpha, masks, 1) == 1
+    except UnknownAtomError:
+        exc = _unknown_atoms(alpha, masks)
+        exc._holder = "world"
+        raise exc from None
 
 
 def _index_bit_mask(width: int, k: int) -> int:
@@ -335,17 +352,16 @@ class ContextTables:
         if cls is IntNeg:
             return self.table(phi.operand, not deny)
         if cls is IntImp:
+            # The antecedent's assert side; the consequent's side asked for.
             a1 = self.table(phi.left, False)
-            if not deny:
-                bad = a1 & (self.universe ^ self.table(phi.right, False))
+            side = self.table(phi.right, deny)
+            if not deny or self.variant is DeniabilityVariant.CONNEXIVE:
+                # Every subcontext asserting the antecedent takes that side.
+                bad = a1 & (self.universe ^ side)
                 return self.nonempty & (self.universe ^ self.has_subset(bad))
-            d2 = self.table(phi.right, True)
             if self.variant is DeniabilityVariant.NELSON:
-                return a1 & d2
-            if self.variant is DeniabilityVariant.CONNEXIVE:
-                undeny = a1 & (self.universe ^ d2)
-                return self.nonempty & (self.universe ^ self.has_subset(undeny))
-            return self.has_subset(a1 & d2) & self.nonempty
+                return a1 & side
+            return self.has_subset(a1 & side) & self.nonempty
         if cls is IntAnd or cls is IntOr:
             left = self.table(phi.left, deny)
             right = self.table(phi.right, deny)
@@ -651,8 +667,7 @@ def check_characteristic(context: Context) -> bool:
     the default (gauker) variant, whose possibility operator makes the
     world-membership constraints exact.
     """
-    tab = ContextTables(context.atoms, DeniabilityVariant.GAUKER)
-    return tab.assert_table(mu_c(context)) == 1 << context.members
+    return check_characteristic_set([context])
 
 
 def check_characteristic_set(contexts: Sequence[Context]) -> bool:

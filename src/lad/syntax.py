@@ -22,9 +22,10 @@ nesting depth is limited only by memory.  It builds eagerly: an
 arriving binary operator builds every pending one that binds tighter, and
 a ")" or the end of input builds everything back to its group.  That is
 the order in which a recursive-descent parser builds, so the first
-error, and its position, are the ones it would report.  A run of
-disjunctions at one level is folded at once, right to left, so that
-adjacent (+) operands form one n-ary (+).
+error, and its position, are the ones it would report.  The same loop
+folds adjacent (+): the first one built opens a list of operands, each
+further one adds its left operand, and the next operator built, or the
+end of the reduction, expands the list as one n-ary (+).
 
 Every node is built through a node table, a dict from the atom name,
 or from the connective's token and the ids of the children, to the
@@ -71,11 +72,14 @@ class ParseError(ValueError):
     """Malformed formula text."""
 
     def __init__(self, message: str, position: int, expected: tuple[str, ...] = ()):
-        at = f" at position {position}"
-        hint = f" (expected {', '.join(expected)})" if expected else ""
-        super().__init__(message + at + hint)
+        # The inputs are the args, so pickle can rebuild the error.
+        super().__init__(message, position, expected)
         self.position = position
         self.expected = expected
+
+    def __str__(self) -> str:
+        hint = f" (expected {', '.join(self.expected)})" if self.expected else ""
+        return f"{self.args[0]} at position {self.position}{hint}"
 
 
 # Longest tokens first so _|_ wins over |, (+) over ( and so on.
@@ -190,16 +194,6 @@ def parse(text: str, nodes: dict | None = None) -> Formula:
             i += 1
 
 
-def _unary(nodes: dict, op: str, operand: Formula) -> Formula:
-    """The node of prefix token op over operand, from the table or
-    built into it."""
-    key = (op, id(operand))
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = _NODE[op](operand)
-    return node
-
-
 def _binary(nodes: dict, op: str, left: Formula, right: Formula) -> Formula:
     key = (op, id(left), id(right))
     node = nodes.get(key)
@@ -211,7 +205,12 @@ def _binary(nodes: dict, op: str, left: Formula, right: Formula) -> Formula:
 
 def _diamond(nodes: dict, phi: Formula) -> Formula:
     """<>phi, expanded as formulas.diamond does."""
-    return _unary(nodes, "!", _binary(nodes, "->", phi, FALSUM))
+    inner = _binary(nodes, "->", phi, FALSUM)
+    key = ("!", id(inner))
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = IntNeg(inner)
+    return node
 
 
 def _reduce(
@@ -219,29 +218,31 @@ def _reduce(
 ) -> None:
     """Build the pending operators that bind tighter than level, top of
     the stack first.  Binary operators associate to the right, so one of
-    equal level stays pending; a run of disjunctions is folded whole."""
+    equal level stays pending.  Adjacent (+) collect their operands in
+    one list, plus, expanded as one n-ary (+) by the next operator built
+    or at the end, because the expansion of a nested (+) is not an
+    L-formula and could never feed an outer (+)."""
+    plus = None
     while ops:
         k = ops[-1]
         op = tokens[k]
         op_level = _LEVEL[op]
         if op_level <= level:
-            return
-        if op_level == _DISJ:
-            start = len(ops) - 1
-            while start and _LEVEL[tokens[ops[start - 1]]] == _DISJ:
-                start -= 1
-            run = ops[start:]
-            del ops[start:]
-            items = vals[-len(run) - 1:]
-            del vals[-len(run) - 1:]
-            vals.append(_fold_disj(text, tokens, run, items, nodes))
-            continue
+            break
         ops.pop()
-        right = vals.pop()
+        if op == "(+)":
+            if plus is None:
+                plus, plus_at = [vals.pop()], k
+            plus.insert(0, vals.pop())
+            continue
+        if plus is None:
+            right = vals.pop()
+        else:
+            right, plus = _plus(text, plus_at, plus, nodes), None
         if op == "<>":
             vals.append(_diamond(nodes, right))
             continue
-        # _unary and _binary written out, since this runs once per node.
+        # The table lookup written out, since this runs once per node.
         if op_level == _PREFIX:
             left = None
             key = (op, id(right))
@@ -255,37 +256,8 @@ def _reduce(
             except LayerError as exc:
                 _layer_error(text, op, k, exc.offending)
         vals.append(node)
-
-
-def _fold_disj(
-    text: str, tokens: list[str], run: list[int], items: list[Formula], nodes: dict
-) -> Formula:
-    """Fold a run of disjunctions right to left.  Consecutive (+)
-    operands collapse into one n-ary expansion, because the expansion
-    of a nested (+) is not an L-formula and could never feed an outer
-    (+)."""
-    result = items[-1]
-    plus: list[Formula] | None = None
-    plus_at = 0
-    for j in range(len(run) - 1, -1, -1):
-        k, item = run[j], items[j]
-        op = tokens[k]
-        if op == "(+)":
-            if plus is None:
-                plus, plus_at = [item, result], k
-            else:
-                plus.insert(0, item)
-            continue
-        if plus is not None:
-            result = _plus(text, plus_at, plus, nodes)
-            plus = None
-        try:
-            result = _binary(nodes, op, item, result)
-        except LayerError as exc:
-            _layer_error(text, op, k, exc.offending)
     if plus is not None:
-        result = _plus(text, plus_at, plus, nodes)
-    return result
+        vals.append(_plus(text, plus_at, plus, nodes))
 
 
 def _plus(text: str, k: int, operands: list[Formula], nodes: dict) -> Formula:

@@ -1,6 +1,7 @@
 """The package's public surface and its modules' imports."""
 import ast
 import pathlib
+import pickle
 
 import pytest
 
@@ -85,19 +86,47 @@ def test_public_names_are_pinned_and_resolve():
         getattr(lad, name)
 
 
-def test_every_public_exception_is_a_value_error():
-    # lad.cli.main catches ValueError once for every input error, so an
-    # engine error that subclassed Exception would end in a traceback.
-    errors = {
+def _public_errors():
+    return {
         name: value
         for name in lad.__all__
         if isinstance(value := getattr(lad, name), type) and issubclass(value, BaseException)
     }
+
+
+def test_every_public_exception_is_a_value_error():
+    # lad.cli.main catches ValueError once for every input error, so an
+    # engine error that subclassed Exception would end in a traceback.
+    errors = _public_errors()
     assert sorted(errors) == [
         "AtomBoundExceeded", "ContextFormatError", "ContextTooWide", "EmptyInputError",
         "LayerError", "ParseError", "ProofParseError", "UnknownAtomError", "WorldLimitExceeded",
     ]
     assert [name for name, cls in errors.items() if not issubclass(cls, ValueError)] == []
+
+
+def test_every_public_exception_survives_pickle():
+    # An error raised in a multiprocessing or concurrent.futures worker
+    # reaches the parent only through pickle, which rebuilds it from its args.
+    samples = [
+        lad.AtomBoundExceeded(5, 4),
+        lad.AtomBoundExceeded(6, 4, "tables stop at 4 atoms"),
+        lad.ContextFormatError("bad row", line=3),
+        lad.ContextTooWide(25, 24),
+        lad.EmptyInputError("a context set needs at least one context"),
+        lad.LayerError("operand of (+) is not an L-formula", position=2, offending=lad.parse("!p")),
+        lad.ParseError("unexpected 'end of input'", 4, (")",)),
+        lad.ProofParseError("missing rule name", source_line=2),
+        lad.UnknownAtomError("r", "s"),
+        lad.WorldLimitExceeded(28, 24),
+    ]
+    assert {type(exc) for exc in samples} == set(_public_errors().values())
+    for exc in samples:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(exc, protocol))
+            assert type(back) is type(exc)
+            assert str(back) == str(exc)
+            assert vars(back) == vars(exc)
 
 
 def test_an_unknown_name_is_an_attribute_error():

@@ -84,6 +84,11 @@ class TestTruth:
         with pytest.raises(UnknownAtomError):
             truth(World(("p",), (1,)), Q)
 
+    def test_unknown_atom_names_the_world(self):
+        with pytest.raises(UnknownAtomError) as info:
+            truth(World(("p",), (True,)), parse("q /\\ (p \\/ r)"))
+        assert str(info.value) == "formula mentions atoms the world lacks: q, r"
+
 
 class TestPointEvaluator:
     def test_truth_masks_agree_with_truth(self):

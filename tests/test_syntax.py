@@ -204,6 +204,11 @@ class TestAgainstRecursiveDescent:
             "p (+) q \\/ r (+) s",
             "!p (+) q (+) !r",
             "(p (+) q) (+) r",
+            "p (+) q \\/ r",
+            "p (+) q | r",
+            "p | q (+) r",
+            "(p (+) q) | (r (+) s)",
+            "p (+) q (+) r \\/ s",
             "~(p & q) /\\ !r",
             "!p /\\ q r",
             "(!p /\\ q",
